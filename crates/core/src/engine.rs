@@ -161,16 +161,14 @@ impl QueryEngine {
         let chunk = self.chunk_size(total, source.batch_window());
         let (reply_tx, reply_rx) = unbounded();
         let jobs = self.jobs.as_ref().expect("engine workers are alive");
-        let mut specs = specs;
+        let mut specs = specs.into_iter();
         let mut submitted = 0usize;
         let mut pending = 0usize;
-        // Submit front-to-back by draining the vec; `split_off` keeps the
-        // remainder, so each job owns its slice without re-allocating.
-        while !specs.is_empty() {
-            let rest = specs.split_off(chunk.min(specs.len()));
+        // Submit front-to-back, moving each spec once into its job.
+        while submitted < total {
             let job = Job {
                 start: submitted,
-                specs: std::mem::replace(&mut specs, rest),
+                specs: specs.by_ref().take(chunk).collect(),
                 source: source.clone(),
                 reply: reply_tx.clone(),
             };
@@ -526,6 +524,66 @@ mod tests {
         assert_eq!(pooled, serial);
         // Repeat runs are stable (no order sensitivity).
         assert_eq!(engine.run_on(source, batch), serial);
+    }
+
+    /// A free, pure estimate (distinct per attribute id) with a chosen
+    /// batch window.
+    struct Synthetic(usize);
+    impl EstimateSource for Synthetic {
+        fn label(&self) -> String {
+            "synthetic".to_string()
+        }
+        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
+            let id = spec.include[0].attributes[0].0;
+            Ok(u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        }
+        fn batch_window(&self) -> usize {
+            self.0
+        }
+        fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {
+            Ok(())
+        }
+        fn catalog_len(&self) -> u32 {
+            u32::MAX
+        }
+        fn attribute_name(&self, _id: AttributeId) -> Option<String> {
+            None
+        }
+        fn attribute_feature(&self, _id: AttributeId) -> Option<adcomp_targeting::FeatureId> {
+            None
+        }
+        fn can_compose(&self, _a: AttributeId, _b: AttributeId) -> bool {
+            false
+        }
+        fn supports_demographics(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn engine_keeps_submission_order_across_partial_chunks() {
+        const CHUNK: usize = 64;
+        let engine = QueryEngine::new(EngineConfig {
+            workers: 2,
+            chunk: Some(CHUNK),
+            ..Default::default()
+        });
+        // Unbatched sources get the configured chunk, windowed ones
+        // their window.
+        for (window, chunk) in [(1, CHUNK), (512, 512)] {
+            let source: Arc<dyn EstimateSource> = Arc::new(Synthetic(window));
+            for total in [1, chunk - 1, chunk + 1, 100_003] {
+                let batch: Vec<TargetingSpec> = (0..total as u32)
+                    .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+                    .collect();
+                let serial = source.estimate_batch(&batch);
+                assert_eq!(
+                    engine.run_on(source.clone(), batch),
+                    serial,
+                    "window {window}, batch {total}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! Overlaps are "conservatively measured by comparing the size of the
 //! intersection to the size of the smaller set in the pair"
 //! (footnote 12).
+//!
+//! Query budget of [`median_pairwise_overlap`] over `limit` specs:
+//! `limit` class audiences plus at most `limit·(limit−1)/2` pair
+//! intersections per population (one per pair whose smaller side is
+//! non-empty and whose intersection is not contradictory). Calling
+//! [`pairwise_overlap`] once per pair would re-measure both sides every
+//! time, `3·limit·(limit−1)/2` queries.
 
 use crate::source::{AuditTarget, Selector, SourceError};
 use adcomp_targeting::TargetingSpec;
@@ -41,7 +48,13 @@ pub fn pairwise_overlap(
 
 /// Median pairwise overlap among the first `limit` specs (the paper uses
 /// the top 100 most skewed compositions). Pairs whose smaller audience is
-/// below the reporting floor are skipped.
+/// below the reporting floor are skipped; contradictory pairs count as
+/// overlap 0 without spending a query.
+///
+/// The result equals folding [`pairwise_overlap`] over every `i < j`
+/// pair, but each class audience is measured once and the pair
+/// intersections go out as a second batch, so an attached engine or a
+/// pipelined wire client carries both.
 pub fn median_pairwise_overlap(
     target: &AuditTarget,
     specs: &[TargetingSpec],
@@ -49,14 +62,48 @@ pub fn median_pairwise_overlap(
     limit: usize,
 ) -> Result<Option<f64>, SourceError> {
     let specs = &specs[..specs.len().min(limit)];
-    let mut overlaps = Vec::new();
+    if specs.len() < 2 {
+        // No pairs, so no audience needs measuring.
+        return Ok(None);
+    }
+    let measure = |queries: Vec<TargetingSpec>| -> Result<Vec<u64>, SourceError> {
+        target.run_measurement_batch(queries).into_iter().collect()
+    };
+    let sizes = measure(
+        specs
+            .iter()
+            .map(|s| selector.constrain(&target.translate(s)))
+            .collect(),
+    )?;
+    // Every pair with a non-empty smaller side, in `i < j` order: its
+    // smaller size and whether its intersection is queried.
+    let mut pairs: Vec<(u64, bool)> = Vec::new();
+    let mut intersections: Vec<TargetingSpec> = Vec::new();
     for i in 0..specs.len() {
         for j in i + 1..specs.len() {
-            if let Some(v) = pairwise_overlap(target, &specs[i], &specs[j], selector)? {
-                overlaps.push(v);
+            let smaller = sizes[i].min(sizes[j]);
+            if smaller == 0 {
+                continue;
             }
+            let ab = specs[i].intersect(&specs[j]);
+            if let Some(ab) = &ab {
+                intersections.push(selector.constrain(&target.translate(ab)));
+            }
+            pairs.push((smaller, ab.is_some()));
         }
     }
+    let mut answers = measure(intersections)?.into_iter();
+    let overlaps: Vec<f64> = pairs
+        .into_iter()
+        .map(|(smaller, queried)| {
+            let both = if queried {
+                answers.next().expect("one answer per queried pair")
+            } else {
+                0
+            };
+            both as f64 / smaller as f64
+        })
+        .collect();
     Ok(crate::stats::median(&overlaps))
 }
 
@@ -182,11 +229,13 @@ fn next_combination(subset: &mut [usize], k: usize) -> bool {
 mod tests {
     use super::*;
     use crate::discovery::{rank_individuals, survey_individuals, Direction, DEFAULT_MIN_REACH};
-    use crate::source::AuditTarget;
+    use crate::engine::{EngineConfig, QueryEngine};
+    use crate::source::{AuditTarget, EstimateSource};
     use adcomp_platform::{SimScale, Simulation};
     use adcomp_population::Gender;
     use adcomp_targeting::AttributeId;
-    use std::sync::OnceLock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, OnceLock};
 
     fn sim() -> &'static Simulation {
         static SIM: OnceLock<Simulation> = OnceLock::new();
@@ -216,6 +265,173 @@ mod tests {
                 // the smaller rounded side; allow a small margin.
                 assert!((0.0..=1.05).contains(&o), "overlap {o} for ({a},{b})");
             }
+        }
+    }
+
+    /// The serial definition: [`pairwise_overlap`] folded over every
+    /// `i < j` pair of the first `limit` specs.
+    fn reference_median(
+        target: &AuditTarget,
+        specs: &[TargetingSpec],
+        selector: Selector,
+        limit: usize,
+    ) -> Option<f64> {
+        let specs = &specs[..specs.len().min(limit)];
+        let mut overlaps = Vec::new();
+        for i in 0..specs.len() {
+            for j in i + 1..specs.len() {
+                if let Some(v) = pairwise_overlap(target, &specs[i], &specs[j], selector).unwrap() {
+                    overlaps.push(v);
+                }
+            }
+        }
+        crate::stats::median(&overlaps)
+    }
+
+    /// Skewed individual specs and their compositions, plus a pair with
+    /// contradictory genders and a composition below the reporting floor.
+    fn overlap_specs(target: &AuditTarget) -> Vec<TargetingSpec> {
+        let survey = survey_individuals(target).unwrap();
+        let female_class = crate::source::SensitiveClass::Gender(Gender::Female);
+        let ranked = rank_individuals(&survey, female_class, Direction::Toward, DEFAULT_MIN_REACH);
+        let top: Vec<TargetingSpec> = ranked
+            .iter()
+            .take(6)
+            .map(|&i| survey.entries[i].spec.clone())
+            .collect();
+        let mut specs = top.clone();
+        for other in &top[1..4] {
+            specs.push(top[0].intersect(other).unwrap());
+        }
+        for gender in [Gender::Male, Gender::Female] {
+            let mut spec = top[1].clone();
+            spec.demographics.genders = Some(vec![gender]);
+            specs.push(spec);
+        }
+        specs.push(top.iter().fold(TargetingSpec::everyone(), |acc, s| {
+            acc.intersect(s).unwrap()
+        }));
+        specs
+    }
+
+    #[test]
+    fn batched_median_overlap_matches_pairwise_fold() {
+        let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(2)));
+        let not_18_24 = Selector::Complement(crate::source::SensitiveClass::Age(
+            adcomp_population::AgeBucket::A18_24,
+        ));
+        for serial in [
+            AuditTarget::for_platform(&sim().facebook, sim()),
+            AuditTarget::for_platform(&sim().facebook_restricted, sim()),
+        ] {
+            let specs = overlap_specs(&serial);
+            for selector in [FEMALE, not_18_24] {
+                // The set covers both kinds of pair the fold treats
+                // specially.
+                assert!(specs
+                    .iter()
+                    .any(|s| serial.selector_estimate(s, selector).unwrap() == 0));
+                let (male, female) = (&specs[specs.len() - 3], &specs[specs.len() - 2]);
+                assert!(male.intersect(female).is_none());
+                for target in [serial.clone(), serial.with_engine(engine.clone())] {
+                    for limit in [0, 1, 2, 6, specs.len()] {
+                        let batched = median_pairwise_overlap(&target, &specs, selector, limit)
+                            .unwrap()
+                            .map(f64::to_bits);
+                        let reference =
+                            reference_median(&serial, &specs, selector, limit).map(f64::to_bits);
+                        assert_eq!(
+                            batched,
+                            reference,
+                            "{:?}, {selector}, limit {limit}, engine {}",
+                            target,
+                            target.engine().is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts estimates and fails the one spec it is told to.
+    struct Probe {
+        inner: Arc<dyn EstimateSource>,
+        estimates: AtomicU64,
+        fail_on: Option<TargetingSpec>,
+    }
+
+    impl EstimateSource for Probe {
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
+            self.estimates.fetch_add(1, Ordering::Relaxed);
+            if self.fail_on.as_ref() == Some(spec) {
+                return Err(SourceError::Transport("injected".into()));
+            }
+            self.inner.estimate(spec)
+        }
+        fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
+            self.inner.check(spec)
+        }
+        fn catalog_len(&self) -> u32 {
+            self.inner.catalog_len()
+        }
+        fn attribute_name(&self, id: AttributeId) -> Option<String> {
+            self.inner.attribute_name(id)
+        }
+        fn attribute_feature(&self, id: AttributeId) -> Option<adcomp_targeting::FeatureId> {
+            self.inner.attribute_feature(id)
+        }
+        fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
+            self.inner.can_compose(a, b)
+        }
+        fn supports_demographics(&self) -> bool {
+            self.inner.supports_demographics()
+        }
+    }
+
+    fn probed(fail_on: Option<TargetingSpec>) -> (Arc<Probe>, AuditTarget) {
+        let probe = Arc::new(Probe {
+            inner: sim().facebook.clone(),
+            estimates: AtomicU64::new(0),
+            fail_on,
+        });
+        (probe.clone(), AuditTarget::direct(probe))
+    }
+
+    #[test]
+    fn median_overlap_spends_one_query_per_audience_and_measured_pair() {
+        let plain = AuditTarget::for_platform(&sim().facebook, sim());
+        let specs = overlap_specs(&plain);
+        let sizes: Vec<u64> = specs
+            .iter()
+            .map(|s| plain.selector_estimate(s, FEMALE).unwrap())
+            .collect();
+        let mut measured_pairs = 0;
+        for i in 0..specs.len() {
+            for j in i + 1..specs.len() {
+                if sizes[i].min(sizes[j]) > 0 && specs[i].intersect(&specs[j]).is_some() {
+                    measured_pairs += 1;
+                }
+            }
+        }
+        let (probe, target) = probed(None);
+        median_pairwise_overlap(&target, &specs, FEMALE, specs.len()).unwrap();
+        assert_eq!(
+            probe.estimates.load(Ordering::Relaxed),
+            (specs.len() + measured_pairs) as u64
+        );
+
+        // An error in either batch is the function's error.
+        let single = FEMALE.constrain(&specs[3]);
+        let pair = FEMALE.constrain(&specs[0].intersect(&specs[1]).unwrap());
+        for fail_on in [single, pair] {
+            let (_, target) = probed(Some(fail_on));
+            assert_eq!(
+                median_pairwise_overlap(&target, &specs, FEMALE, specs.len()),
+                Err(SourceError::Transport("injected".into()))
+            );
         }
     }
 
