@@ -27,13 +27,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Gauge, Histogram, Registry};
 use adcomp_targeting::TargetingSpec;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::source::{EstimateSource, SourceError};
 
@@ -96,7 +96,7 @@ struct Job {
 /// from any number of threads; each call gets its own reply channel, so
 /// batches never interleave results.
 pub struct QueryEngine {
-    jobs: Option<Sender<Job>>,
+    jobs: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
     chunk: Option<usize>,
@@ -111,10 +111,13 @@ impl QueryEngine {
         let reg = Registry::global();
         let queue_depth = reg.gauge("adcomp_engine_queue_depth");
         let in_flight = reg.gauge("adcomp_engine_in_flight");
-        let (tx, rx) = bounded::<Job>(config.queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
+        // Workers share the one queue; each holds the lock only while it
+        // waits for its next job.
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..config.resolved_workers())
             .map(|i| {
-                let rx: Receiver<Job> = rx.clone();
+                let rx = rx.clone();
                 let queue_depth = queue_depth.clone();
                 let in_flight = in_flight.clone();
                 std::thread::Builder::new()
@@ -159,7 +162,7 @@ impl QueryEngine {
         let start = Instant::now();
         self.queries.add(total as u64);
         let chunk = self.chunk_size(total, source.batch_window());
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         let jobs = self.jobs.as_ref().expect("engine workers are alive");
         let mut specs = specs.into_iter();
         let mut submitted = 0usize;
@@ -205,8 +208,12 @@ impl QueryEngine {
     }
 }
 
-fn worker_loop(rx: Receiver<Job>, queue_depth: Arc<Gauge>, in_flight: Arc<Gauge>) {
-    while let Ok(job) = rx.recv() {
+fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>, queue_depth: Arc<Gauge>, in_flight: Arc<Gauge>) {
+    loop {
+        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else {
+            break;
+        };
         queue_depth.add(-1);
         in_flight.add(1);
         let results = job.source.estimate_batch(&job.specs);
@@ -284,7 +291,7 @@ impl MemoCache {
         let shard = self
             .shard(key)
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+            .unwrap_or_else(PoisonError::into_inner);
         let value = shard.map.get(key).copied();
         match value {
             Some(_) => self.hits.inc(),
@@ -299,7 +306,7 @@ impl MemoCache {
         let mut shard = self
             .shard(&key)
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+            .unwrap_or_else(PoisonError::into_inner);
         if shard.map.insert(key.clone(), value).is_none() {
             shard.order.push_back(key);
             if shard.order.len() > self.per_shard_capacity {
@@ -315,12 +322,7 @@ impl MemoCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .map
-                    .len()
-            })
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
             .sum()
     }
 

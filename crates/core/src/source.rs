@@ -227,51 +227,6 @@ pub trait EstimateSource: Send + Sync {
     fn supports_demographics(&self) -> bool;
 }
 
-impl EstimateSource for AdPlatform {
-    fn label(&self) -> String {
-        AdPlatform::label(self).to_string()
-    }
-
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let req = EstimateRequest::borrowed(spec, self.config().default_objective);
-        Ok(self.reach_estimate(&req)?.value)
-    }
-
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        AdPlatform::check(self, spec).map_err(Into::into)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.catalog().len() as u32
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.catalog().get(id).map(|e| e.name.clone())
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.catalog().get(id).map(|e| e.feature)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        if a == b {
-            return false;
-        }
-        if self.config().capabilities.same_feature_and {
-            true
-        } else {
-            match (self.attribute_feature(a), self.attribute_feature(b)) {
-                (Some(fa), Some(fb)) => fa != fb,
-                _ => false,
-            }
-        }
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.config().capabilities.gender_targeting && self.config().capabilities.age_targeting
-    }
-}
-
 /// An [`EstimateSource`] over any [`PlatformApi`] — the in-process
 /// counterpart of the wire client's remote source. This is what lets a
 /// [`FaultyPlatform`](adcomp_platform::FaultyPlatform) (which implements
@@ -280,37 +235,63 @@ impl EstimateSource for AdPlatform {
 /// fault-injected platform in one of these.
 pub struct ApiSource(pub Arc<dyn PlatformApi>);
 
-impl EstimateSource for ApiSource {
+/// The in-process adapters, [`AdPlatform`] itself and [`ApiSource`]: each
+/// names the [`PlatformApi`] it answers from, and the one generic
+/// [`EstimateSource`] body below does the rest.
+trait InProcess: Send + Sync {
+    type Api: PlatformApi + ?Sized;
+
+    fn api(&self) -> &Self::Api;
+}
+
+impl InProcess for AdPlatform {
+    type Api = AdPlatform;
+
+    fn api(&self) -> &Self::Api {
+        self
+    }
+}
+
+impl InProcess for ApiSource {
+    type Api = dyn PlatformApi;
+
+    fn api(&self) -> &Self::Api {
+        &*self.0
+    }
+}
+
+impl<T: InProcess> EstimateSource for T {
     fn label(&self) -> String {
-        self.0.label().to_string()
+        self.api().label().to_string()
     }
 
     fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let req = EstimateRequest::borrowed(spec, self.0.config().default_objective);
-        Ok(self.0.reach_estimate(&req)?.value)
+        let api = self.api();
+        let req = EstimateRequest::borrowed(spec, api.config().default_objective);
+        Ok(api.reach_estimate(&req)?.value)
     }
 
     fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.0.check(spec).map_err(Into::into)
+        self.api().check(spec).map_err(Into::into)
     }
 
     fn catalog_len(&self) -> u32 {
-        self.0.catalog().len() as u32
+        self.api().catalog().len() as u32
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.0.catalog().get(id).map(|e| e.name.clone())
+        self.api().catalog().get(id).map(|e| e.name.clone())
     }
 
     fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.0.catalog().get(id).map(|e| e.feature)
+        self.api().catalog().get(id).map(|e| e.feature)
     }
 
     fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
         if a == b {
             return false;
         }
-        if self.0.config().capabilities.same_feature_and {
+        if self.api().config().capabilities.same_feature_and {
             true
         } else {
             match (self.attribute_feature(a), self.attribute_feature(b)) {
@@ -321,7 +302,8 @@ impl EstimateSource for ApiSource {
     }
 
     fn supports_demographics(&self) -> bool {
-        self.0.config().capabilities.gender_targeting && self.0.config().capabilities.age_targeting
+        let capabilities = &self.api().config().capabilities;
+        capabilities.gender_targeting && capabilities.age_targeting
     }
 }
 

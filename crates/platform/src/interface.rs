@@ -8,7 +8,7 @@
 //! (and any real advertiser) gets to see. Ground-truth accessors exist for
 //! tests and ablations and are clearly marked.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use adcomp_bitset::Bitset;
@@ -18,7 +18,6 @@ use adcomp_targeting::{
     evaluate, validate, AttributeId, AttributeResolver, Capabilities, EvalError, TargetingSpec,
     ValidationError,
 };
-use parking_lot::Mutex;
 
 use crate::catalog::Catalog;
 use crate::estimate::{EstimateKind, RoundingRule, SizeEstimate};
@@ -300,7 +299,10 @@ impl AdPlatform {
             return Err(PlatformError::UnsupportedObjective(request.objective));
         }
         if let Err(e) = validate(&request.spec, &self.config.capabilities, &self.catalog) {
-            self.stats.lock().validation_failures += 1;
+            self.stats
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .validation_failures += 1;
             self.metrics.validation_failures.inc();
             return Err(e.into());
         }
@@ -309,7 +311,10 @@ impl AdPlatform {
         if self.config.estimate_kind == EstimateKind::Impressions {
             value *= request.frequency_cap.impressions_multiplier();
         }
-        self.stats.lock().estimates += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .estimates += 1;
         let raw = value.round() as u64;
         let rounded = self.config.rounding.apply(raw);
         self.metrics.estimates.inc();
@@ -361,12 +366,15 @@ impl AdPlatform {
 
     /// Snapshot of the query counters.
     pub fn stats(&self) -> QueryStats {
-        *self.stats.lock()
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record a rate-limited request (called by the serving layer).
     pub fn note_rate_limited(&self) {
-        self.stats.lock().rate_limited += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .rate_limited += 1;
         self.metrics.rate_limited.inc();
     }
 

@@ -17,10 +17,11 @@
 //! The tests pin that equivalence against a monolithic platform built
 //! from the same universe config and catalog.
 
+use std::sync::{Mutex, PoisonError};
+
 use adcomp_bitset::Bitset;
 use adcomp_population::{SegmentAudience, SegmentError, SegmentStore};
 use adcomp_targeting::{validate, AttributeId, EvalError, TargetingSpec};
-use parking_lot::Mutex;
 
 use crate::catalog::Catalog;
 use crate::estimate::{EstimateKind, SizeEstimate};
@@ -83,7 +84,10 @@ impl SegmentedPlatform {
             return Err(PlatformError::UnsupportedObjective(request.objective));
         }
         if let Err(e) = validate(&request.spec, &self.config.capabilities, &self.catalog) {
-            self.stats.lock().validation_failures += 1;
+            self.stats
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .validation_failures += 1;
             self.metrics.validation_failures.inc();
             return Err(e.into());
         }
@@ -92,7 +96,10 @@ impl SegmentedPlatform {
         if self.config.estimate_kind == EstimateKind::Impressions {
             value *= request.frequency_cap.impressions_multiplier();
         }
-        self.stats.lock().estimates += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .estimates += 1;
         let raw = value.round() as u64;
         let rounded = self.config.rounding.apply(raw);
         self.metrics.estimates.inc();
@@ -133,12 +140,15 @@ impl SegmentedPlatform {
 
     /// Snapshot of the query counters.
     pub fn stats(&self) -> QueryStats {
-        *self.stats.lock()
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record a rate-limited request (called by the serving layer).
     pub fn note_rate_limited(&self) {
-        self.stats.lock().rate_limited += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .rate_limited += 1;
         self.metrics.rate_limited.inc();
     }
 
@@ -447,8 +457,10 @@ mod tests {
         )
     }
 
-    /// A segmented and a monolithic platform over the same universe.
-    fn pair(n_users: u32) -> (SegmentedPlatform, AdPlatform, tempdir::Guard) {
+    /// A segmented and a monolithic platform over the same universe. The
+    /// segment store lives in a temp dir of its own per `test`, so tests
+    /// running in parallel never delete each other's store.
+    fn pair(test: &str, n_users: u32) -> (SegmentedPlatform, AdPlatform, tempdir::Guard) {
         let ucfg = UniverseConfig {
             n_users,
             seed: 77,
@@ -457,7 +469,7 @@ mod tests {
         };
         let catalog = catalog();
         let models: Vec<_> = catalog.entries().iter().map(|e| e.model.clone()).collect();
-        let guard = tempdir::Guard::new("adcomp-segmented-platform");
+        let guard = tempdir::Guard::new(&format!("adcomp-segmented-platform-{test}"));
         let store =
             SegmentStore::create(&guard.path, &ucfg, SEGMENT_ALIGN, &models, 1 << 22).unwrap();
         let segmented = SegmentedPlatform::new(config(), store, catalog.clone());
@@ -513,7 +525,10 @@ mod tests {
 
     #[test]
     fn estimates_match_the_monolithic_platform() {
-        let (segmented, mono, _guard) = pair(SEGMENT_ALIGN * 2 + 12_345);
+        let (segmented, mono, _guard) = pair(
+            "estimates_match_the_monolithic_platform",
+            SEGMENT_ALIGN * 2 + 12_345,
+        );
         for spec in specs() {
             let req = EstimateRequest::new(spec.clone(), Objective::Reach);
             assert_eq!(
@@ -527,7 +542,8 @@ mod tests {
 
     #[test]
     fn error_paths_match_the_monolithic_platform() {
-        let (segmented, mono, _guard) = pair(SEGMENT_ALIGN);
+        let (segmented, mono, _guard) =
+            pair("error_paths_match_the_monolithic_platform", SEGMENT_ALIGN);
         let bad_objective =
             EstimateRequest::new(TargetingSpec::everyone(), Objective::BrandAwareness);
         assert_eq!(
@@ -552,7 +568,10 @@ mod tests {
 
     #[test]
     fn oracle_agrees_with_the_monolithic_oracle() {
-        let (segmented, mono, _guard) = pair(SEGMENT_ALIGN * 2 + 999);
+        let (segmented, mono, _guard) = pair(
+            "oracle_agrees_with_the_monolithic_oracle",
+            SEGMENT_ALIGN * 2 + 999,
+        );
         for min_estimate in [1u64, 10_000, 2_000_000, 40_000_000] {
             assert_eq!(
                 ReachOracle::min_len_for_estimate(&segmented, min_estimate),
@@ -587,7 +606,7 @@ mod tests {
     #[test]
     fn serves_through_the_api_trait() {
         use crate::api::PlatformApi;
-        let (segmented, _mono, _guard) = pair(SEGMENT_ALIGN);
+        let (segmented, _mono, _guard) = pair("serves_through_the_api_trait", SEGMENT_ALIGN);
         let api: Arc<dyn PlatformApi> = Arc::new(segmented);
         assert_eq!(api.label(), "Facebook");
         let req = EstimateRequest::new(TargetingSpec::everyone(), api.config().default_objective);

@@ -77,7 +77,11 @@ pub(crate) use hash::{mix, normal_f32, uniform_f64};
 /// Exposed so downstream catalog generators can draw per-attribute
 /// parameters from the same reproducible, stateless streams the universe
 /// itself uses. Coordinates `(seed, a, b)` identify a stream position.
+/// `splitmix64` is the one 64-bit mixer the crates above this one
+/// share (fault schedules, retry jitter, probe spec seeds).
 pub mod hash_api {
+    pub use crate::hash::splitmix64;
+
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(seed: u64, a: u64, b: u64) -> f64 {
         crate::hash::uniform_f64(seed, a, b)

@@ -519,17 +519,16 @@ fn generate_segment(
 
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let chunk = seg_len.div_ceil(threads).max(1024);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let demo_chunks = demos.chunks_mut(chunk);
         let latent_chunks = latent.chunks_mut(chunk * LATENT_DIMS);
         for (idx, (dchunk, lchunk)) in demo_chunks.zip(latent_chunks).enumerate() {
             let chunk_start = start + (idx * chunk) as u32;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 fill_users(config, chunk_start, dchunk, lchunk);
             });
         }
-    })
-    .expect("segment generation worker panicked");
+    });
 
     let mut gender_ids: [Vec<u32>; 2] = Default::default();
     let mut age_ids: [Vec<u32>; 4] = Default::default();
@@ -545,19 +544,18 @@ fn generate_segment(
     let mut attr_ids: Vec<Vec<u32>> = vec![Vec::new(); models.len()];
     if !models.is_empty() {
         let per = models.len().div_ceil(threads).max(1);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (slot, out_chunk) in attr_ids.chunks_mut(per).enumerate() {
                 let model_chunk = &models[slot * per..(slot * per + out_chunk.len())];
                 let demos = &demos;
                 let latent = &latent;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (model, out) in model_chunk.iter().zip(out_chunk.iter_mut()) {
                         *out = materialize_segment(config, model, start, demos, latent);
                     }
                 });
             }
-        })
-        .expect("segment materialisation worker panicked");
+        });
     }
 
     let mut audiences = Vec::with_capacity(FIXED_AUDIENCES as usize + models.len());

@@ -65,18 +65,17 @@ impl Universe {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let chunk = n.div_ceil(threads).max(1024);
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let demo_chunks = demographics.chunks_mut(chunk);
             let latent_chunks = latent.chunks_mut(chunk * LATENT_DIMS);
             for (idx, (dchunk, lchunk)) in demo_chunks.zip(latent_chunks).enumerate() {
                 let start = idx * chunk;
                 let config = &config;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     fill_users(config, start as u32, dchunk, lchunk);
                 });
             }
-        })
-        .expect("universe generation worker panicked");
+        });
 
         let mut gender_ids: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         let mut age_ids: [Vec<u32>; 4] = Default::default();
@@ -161,16 +160,15 @@ impl Universe {
         let n_chunks = n.div_ceil(chunk);
         let mut per_chunk: Vec<Vec<u32>> = vec![Vec::new(); n_chunks];
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (idx, out) in per_chunk.iter_mut().enumerate() {
                 let start = idx * chunk;
                 let end = (start + chunk).min(n);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     *out = self.materialize_range(model, start as u32, end as u32);
                 });
             }
-        })
-        .expect("materialisation worker panicked");
+        });
 
         Bitset::from_sorted_iter(per_chunk.into_iter().flatten())
     }

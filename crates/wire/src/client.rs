@@ -21,14 +21,13 @@
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use adcomp_obs::metrics::{duration_us_buckets, Counter, Gauge, Histogram, Registry};
 use adcomp_obs::trace::{current_context, TraceContext, Tracer};
 use adcomp_platform::{CircuitBreaker, RetryPolicy};
 use adcomp_targeting::TargetingSpec;
-use parking_lot::Mutex;
 
 use crate::codec::{from_bytes, to_bytes, CodecError};
 use crate::frame::{read_frame, write_frame, FrameError};
@@ -253,7 +252,7 @@ impl Client {
         };
         // Fail fast on an unreachable endpoint, as `connect` always did.
         let conn = client.open_conn()?;
-        *client.conn.lock() = Some(conn);
+        *client.conn.lock().unwrap_or_else(PoisonError::into_inner) = Some(conn);
         Ok(client)
     }
 
@@ -290,7 +289,7 @@ impl Client {
     /// One request/response exchange on the current connection,
     /// reconnecting first if a previous failure tore it down.
     fn exchange(&self, request: &Request) -> Result<Response, ClientError> {
-        let mut guard = self.conn.lock();
+        let mut guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
             *guard = Some(self.open_conn().map_err(FrameError::Io)?);
             self.metrics.reconnects.inc();
@@ -327,6 +326,7 @@ impl Client {
         loop {
             self.breaker
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .check(self.now())
                 .map_err(|retry_in| ClientError::CircuitOpen { retry_in })?;
             // Unwrap Traced before classifying: a rate-limit answer to a
@@ -339,7 +339,10 @@ impl Client {
                     retry_after,
                 }) => {
                     // The endpoint is alive — a throttle is not a fault.
-                    self.breaker.lock().record_success();
+                    self.breaker
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_success();
                     if self.config.retry.should_retry(attempt) {
                         self.metrics.retries_rate_limited.inc();
                         std::thread::sleep(self.config.retry.backoff(attempt, retry_after));
@@ -353,11 +356,17 @@ impl Client {
                     }
                 }
                 Ok(response) => {
-                    self.breaker.lock().record_success();
+                    self.breaker
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_success();
                     return Ok(response);
                 }
                 Err(ClientError::Transport(e)) => {
-                    self.breaker.lock().record_failure(self.now());
+                    self.breaker
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_failure(self.now());
                     if self.config.retry.should_retry(attempt) {
                         self.metrics.retries_transport.inc();
                         std::thread::sleep(self.config.retry.backoff(attempt, None));
@@ -521,9 +530,14 @@ impl Client {
         let mut todo: Vec<usize> = (0..specs.len()).collect();
         let mut rate_limit_attempt: u32 = 0;
         let mut transport_attempt: u32 = 0;
-        let mut guard = self.conn.lock();
+        let mut guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         while !todo.is_empty() {
-            if let Err(retry_in) = self.breaker.lock().check(self.now()) {
+            if let Err(retry_in) = self
+                .breaker
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .check(self.now())
+            {
                 for &slot in &todo {
                     results[slot] = Some(Err(ClientError::CircuitOpen { retry_in }));
                 }
@@ -536,7 +550,10 @@ impl Client {
                         self.metrics.reconnects.inc();
                     }
                     Err(e) => {
-                        self.breaker.lock().record_failure(self.now());
+                        self.breaker
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .record_failure(self.now());
                         if self.config.retry.should_retry(transport_attempt) {
                             self.metrics.retries_transport.inc();
                             std::thread::sleep(self.config.retry.backoff(transport_attempt, None));
@@ -559,7 +576,10 @@ impl Client {
             let conn = guard.as_mut().expect("connection just ensured");
             match self.pipeline_round(conn, specs, &todo, &mut results, trace) {
                 Ok(rate_limited) => {
-                    self.breaker.lock().record_success();
+                    self.breaker
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_success();
                     transport_attempt = 0;
                     if rate_limited.is_empty() {
                         break;
@@ -589,7 +609,10 @@ impl Client {
                     // Tear down; the next iteration reconnects and
                     // re-issues only what is still unanswered.
                     *guard = None;
-                    self.breaker.lock().record_failure(self.now());
+                    self.breaker
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .record_failure(self.now());
                     todo.retain(|&slot| results[slot].is_none());
                     if self.config.retry.should_retry(transport_attempt) {
                         self.metrics.retries_transport.inc();

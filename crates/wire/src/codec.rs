@@ -1,12 +1,10 @@
 //! Binary wire encoding.
 //!
-//! A small, explicit, length-checked codec over [`bytes`] buffers. Every
-//! type that crosses the wire implements [`WireEncode`]/[`WireDecode`].
+//! A small, explicit, length-checked codec over byte slices. Every type
+//! that crosses the wire implements [`WireEncode`]/[`WireDecode`].
 //! Integers are big-endian; strings are UTF-8 with a u32 length prefix;
 //! vectors carry a u32 count; options a presence byte. Decoding is total:
 //! malformed input yields a [`CodecError`], never a panic.
-
-use bytes::{Buf, BufMut};
 
 /// Encoding target alias.
 pub type Writer = Vec<u8>;
@@ -62,40 +60,30 @@ pub trait WireDecode: Sized {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
-/// Checks `buf` holds at least `n` bytes.
-#[inline]
-fn need(buf: &&[u8], n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::UnexpectedEof)
-    } else {
-        Ok(())
-    }
-}
-
 macro_rules! impl_int {
-    ($ty:ty, $put:ident, $get:ident, $size:expr) => {
+    ($($ty:ty),*) => {$(
         impl WireEncode for $ty {
             fn encode(&self, buf: &mut Writer) {
-                buf.$put(*self);
+                buf.extend_from_slice(&self.to_be_bytes());
             }
         }
         impl WireDecode for $ty {
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-                need(buf, $size)?;
-                Ok(buf.$get())
+                let (head, rest) = buf
+                    .split_first_chunk()
+                    .ok_or(CodecError::UnexpectedEof)?;
+                *buf = rest;
+                Ok(<$ty>::from_be_bytes(*head))
             }
         }
-    };
+    )*};
 }
 
-impl_int!(u8, put_u8, get_u8, 1);
-impl_int!(u16, put_u16, get_u16, 2);
-impl_int!(u32, put_u32, get_u32, 4);
-impl_int!(u64, put_u64, get_u64, 8);
+impl_int!(u8, u16, u32, u64);
 
 impl WireEncode for bool {
     fn encode(&self, buf: &mut Writer) {
-        buf.put_u8(*self as u8);
+        (*self as u8).encode(buf);
     }
 }
 
@@ -112,7 +100,7 @@ impl WireDecode for bool {
 impl WireEncode for str {
     fn encode(&self, buf: &mut Writer) {
         (self.len() as u32).encode(buf);
-        buf.put_slice(self.as_bytes());
+        buf.extend_from_slice(self.as_bytes());
     }
 }
 
@@ -128,8 +116,9 @@ impl WireDecode for String {
         if len > MAX_ELEMENTS {
             return Err(CodecError::LengthOverflow { declared: len });
         }
-        need(buf, len as usize)?;
-        let (head, rest) = buf.split_at(len as usize);
+        let (head, rest) = buf
+            .split_at_checked(len as usize)
+            .ok_or(CodecError::UnexpectedEof)?;
         let s = std::str::from_utf8(head)
             .map_err(|_| CodecError::InvalidUtf8)?
             .to_string();
@@ -164,9 +153,9 @@ impl<T: WireDecode> WireDecode for Vec<T> {
 impl<T: WireEncode> WireEncode for Option<T> {
     fn encode(&self, buf: &mut Writer) {
         match self {
-            None => buf.put_u8(0),
+            None => 0u8.encode(buf),
             Some(v) => {
-                buf.put_u8(1);
+                1u8.encode(buf);
                 v.encode(buf);
             }
         }
