@@ -32,7 +32,7 @@ use adcomp_serve::{
     CHAOS_KILL,
 };
 use adcomp_store::RunStore;
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 /// Epochs in the timed throughput run.
 const THROUGHPUT_EPOCHS: u64 = 3;
@@ -110,28 +110,8 @@ impl EstimateSource for TimestampSource {
         self.inner.estimate(spec)
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adcomp_obs::metrics::{Counter, Gauge, Registry};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::source::{EstimateSource, SourceError};
 
@@ -205,29 +205,10 @@ impl EstimateSource for BudgetedSource {
         self.inner.batch_window()
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        // Validation is free: it does not hit the estimate endpoint.
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    // Validation is free: `check` is inherited uncharged, since it does
+    // not hit the estimate endpoint.
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
@@ -236,6 +217,7 @@ mod tests {
     use super::*;
     use crate::source::AuditTarget;
     use adcomp_platform::{SimScale, Simulation};
+    use adcomp_targeting::AttributeId;
     use std::sync::OnceLock;
 
     fn sim() -> &'static Simulation {

@@ -34,7 +34,7 @@ use adcomp_sched::{
     UnitJournal, UnitQueue, UnitReport, UnitRunner,
 };
 use adcomp_store::RunStore;
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::recording::{sched_event_key, SchedEvent, KIND_SCHED_UNIT};
 use crate::resilience::{classify, ErrorClass};
@@ -410,27 +410,7 @@ impl EstimateSource for ScheduledSource {
         (self.cfg.unit_size * self.endpoints.len()).max(2)
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.reference().check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.reference().catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.reference().attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.reference().attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.reference().can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.reference().supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.reference())
     }
 }

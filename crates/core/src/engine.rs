@@ -37,36 +37,20 @@ use adcomp_targeting::TargetingSpec;
 
 use crate::source::{EstimateSource, SourceError};
 
+/// Bound of the job queue; submitters block when it is full.
+const QUEUE_DEPTH: usize = 64;
+
 /// Worker-pool parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads (0 → available parallelism).
     pub workers: usize,
-    /// Bound of the job queue; submitters block when it is full.
-    pub queue_depth: usize,
-    /// Fixed specs-per-job chunk (`None` → sized from the batch so each
-    /// worker sees several jobs; natively batching sources always get
-    /// their preferred window).
-    pub chunk: Option<usize>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 0,
-            queue_depth: 64,
-            chunk: None,
-        }
-    }
 }
 
 impl EngineConfig {
     /// A pool of exactly `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        EngineConfig {
-            workers,
-            ..Default::default()
-        }
+        EngineConfig { workers }
     }
 
     fn resolved_workers(&self) -> usize {
@@ -99,7 +83,6 @@ pub struct QueryEngine {
     jobs: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
-    chunk: Option<usize>,
     queue_depth: Arc<Gauge>,
     batch_latency_us: Arc<Histogram>,
     queries: Arc<Counter>,
@@ -111,7 +94,7 @@ impl QueryEngine {
         let reg = Registry::global();
         let queue_depth = reg.gauge("adcomp_engine_queue_depth");
         let in_flight = reg.gauge("adcomp_engine_in_flight");
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
         // Workers share the one queue; each holds the lock only while it
         // waits for its next job.
         let rx = Arc::new(Mutex::new(rx));
@@ -130,7 +113,6 @@ impl QueryEngine {
             jobs: Some(tx),
             workers,
             worker_count: config.resolved_workers(),
-            chunk: config.chunk,
             queue_depth,
             batch_latency_us: reg
                 .histogram("adcomp_engine_batch_latency_us", duration_us_buckets()),
@@ -198,9 +180,6 @@ impl QueryEngine {
     fn chunk_size(&self, total: usize, window: usize) -> usize {
         if window > 1 {
             return window;
-        }
-        if let Some(chunk) = self.chunk {
-            return chunk.max(1);
         }
         // Several jobs per worker for load balance, but big enough that
         // channel traffic is noise next to the estimates themselves.
@@ -462,35 +441,8 @@ impl EstimateSource for MemoizedSource {
         self.inner.batch_window()
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: adcomp_targeting::AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(
-        &self,
-        id: adcomp_targeting::AttributeId,
-    ) -> Option<adcomp_targeting::FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(
-        &self,
-        a: adcomp_targeting::AttributeId,
-        b: adcomp_targeting::AttributeId,
-    ) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
@@ -542,39 +494,19 @@ mod tests {
         fn batch_window(&self) -> usize {
             self.0
         }
-        fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {
-            Ok(())
-        }
-        fn catalog_len(&self) -> u32 {
-            u32::MAX
-        }
-        fn attribute_name(&self, _id: AttributeId) -> Option<String> {
-            None
-        }
-        fn attribute_feature(&self, _id: AttributeId) -> Option<adcomp_targeting::FeatureId> {
-            None
-        }
-        fn can_compose(&self, _a: AttributeId, _b: AttributeId) -> bool {
-            false
-        }
-        fn supports_demographics(&self) -> bool {
-            false
-        }
     }
 
     #[test]
     fn engine_keeps_submission_order_across_partial_chunks() {
-        const CHUNK: usize = 64;
-        let engine = QueryEngine::new(EngineConfig {
-            workers: 2,
-            chunk: Some(CHUNK),
-            ..Default::default()
-        });
-        // Unbatched sources get the configured chunk, windowed ones
-        // their window.
-        for (window, chunk) in [(1, CHUNK), (512, 512)] {
+        let engine = QueryEngine::new(EngineConfig::with_workers(2));
+        // Unbatched sources get a share of the batch (8, 63, 64 and 64
+        // specs here), windowed ones their window; every size below
+        // leaves a partial last chunk either way.
+        for window in [1, 512] {
             let source: Arc<dyn EstimateSource> = Arc::new(Synthetic(window));
-            for total in [1, chunk - 1, chunk + 1, 100_003] {
+            for total in [65, 511, 513, 100_003] {
+                let chunk = engine.chunk_size(total, window);
+                assert_ne!(total % chunk, 0, "window {window}, batch {total}");
                 let batch: Vec<TargetingSpec> = (0..total as u32)
                     .map(|i| TargetingSpec::and_of([AttributeId(i)]))
                     .collect();
@@ -624,23 +556,8 @@ mod tests {
             self.1.fetch_add(1, Ordering::Relaxed);
             self.0.estimate(spec)
         }
-        fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-            self.0.check(spec)
-        }
-        fn catalog_len(&self) -> u32 {
-            self.0.catalog_len()
-        }
-        fn attribute_name(&self, id: AttributeId) -> Option<String> {
-            self.0.attribute_name(id)
-        }
-        fn attribute_feature(&self, id: AttributeId) -> Option<adcomp_targeting::FeatureId> {
-            self.0.attribute_feature(id)
-        }
-        fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-            self.0.can_compose(a, b)
-        }
-        fn supports_demographics(&self) -> bool {
-            self.0.supports_demographics()
+        fn wraps(&self) -> Option<&dyn EstimateSource> {
+            Some(self.0.as_ref())
         }
     }
 

@@ -16,11 +16,12 @@
 
 use std::sync::Arc;
 
+use adcomp_population::hash_api::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use adcomp_store::RunStore;
 
 use crate::discovery::survey_individuals;
 use crate::distributed::SchedulerConfig;
-use crate::recording::{fnv1a, KIND_ESTIMATE};
+use crate::recording::KIND_ESTIMATE;
 use crate::resilience::ResilienceConfig;
 use crate::source::{AuditTarget, EstimateSource, SourceError};
 
@@ -59,12 +60,10 @@ pub struct EpochOutcome {
 /// ascending key order — stable across processes and platforms, so two
 /// epoch stores with identical estimates always agree.
 pub fn epoch_digest(store: &RunStore) -> u64 {
-    let mut acc = 0xCBF2_9CE4_8422_2325u64;
+    let mut acc = FNV_OFFSET;
     store.for_each_kind(KIND_ESTIMATE, |key, payload| {
-        acc ^= fnv1a(&key.to_be_bytes());
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-        acc ^= fnv1a(payload);
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
+        acc = (acc ^ fnv1a(&key.to_be_bytes())).wrapping_mul(FNV_PRIME);
+        acc = (acc ^ fnv1a(payload)).wrapping_mul(FNV_PRIME);
     });
     acc
 }
@@ -202,28 +201,6 @@ mod tests {
             }
             fn check(&self, _: &adcomp_targeting::TargetingSpec) -> Result<(), SourceError> {
                 Err(SourceError::Transport("down".into()))
-            }
-            fn catalog_len(&self) -> u32 {
-                0
-            }
-            fn attribute_name(&self, _: adcomp_targeting::AttributeId) -> Option<String> {
-                None
-            }
-            fn attribute_feature(
-                &self,
-                _: adcomp_targeting::AttributeId,
-            ) -> Option<adcomp_targeting::FeatureId> {
-                None
-            }
-            fn can_compose(
-                &self,
-                _: adcomp_targeting::AttributeId,
-                _: adcomp_targeting::AttributeId,
-            ) -> bool {
-                false
-            }
-            fn supports_demographics(&self) -> bool {
-                true
             }
         }
         let dir = temp_dir("all-down");

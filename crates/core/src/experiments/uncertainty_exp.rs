@@ -50,7 +50,7 @@ use adcomp_infer::{
 };
 use adcomp_platform::{AdPlatform, InterfaceKind, RoundingRule, SimScale};
 use adcomp_population::{AttributeInference, Gender};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::{AttributeId, TargetingSpec};
 
 use crate::discovery::{rank_individuals, top_compositions, Direction, MeasuredTargeting};
 use crate::engine::QueryEngine;
@@ -374,19 +374,18 @@ fn systematic_interval(
 const TARGET_RESAMPLE_SALT: u64 = 0x7A47;
 const BASE_RESAMPLE_SALT: u64 = 0xBA5E;
 
-/// An [`EstimateSource`] whose catalog is a bootstrap fan-out: attribute
-/// `r` is replicate `r`, and its "estimate" is the replicate's corrected
-/// ratio as an IEEE-754 bit pattern (`NaN` for degenerate replicates).
-/// Each replicate is a pure function of `(seed, r)` via
-/// [`resample_counts`]'s counter streams, so dispatching the catalog
-/// through a [`QueryEngine`] pool returns — in submission order — the
+/// An [`EstimateSource`] over a bootstrap fan-out: the spec naming
+/// attribute `r` is replicate `r`, and its "estimate" is the replicate's
+/// corrected ratio as an IEEE-754 bit pattern (`NaN` for degenerate
+/// replicates). It has no catalog of its own. Each replicate is a pure
+/// function of `(seed, r)` via [`resample_counts`]'s counter streams, so
+/// dispatching the replicates through a [`QueryEngine`] pool returns — in submission order — the
 /// byte-identical sample vector a serial loop produces.
 pub struct ReplicateSource {
     seed: u64,
     target: [u64; 2],
     base: [u64; 2],
     channel: ClassChannel,
-    replicates: u32,
 }
 
 impl ReplicateSource {
@@ -417,10 +416,6 @@ impl EstimateSource for ReplicateSource {
         Ok(self.ratio(replicate).to_bits())
     }
 
-    fn check(&self, _spec: &TargetingSpec) -> Result<(), SourceError> {
-        Ok(())
-    }
-
     fn batch_window(&self) -> usize {
         // One replicate is a handful of binomial draws — microseconds,
         // not a platform round-trip. Hand workers big contiguous slabs
@@ -428,26 +423,6 @@ impl EstimateSource for ReplicateSource {
         // (chunking never changes results: replicate `r` is a pure
         // function of `(seed, r)`).
         512
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.replicates
-    }
-
-    fn attribute_name(&self, _id: AttributeId) -> Option<String> {
-        None
-    }
-
-    fn attribute_feature(&self, _id: AttributeId) -> Option<FeatureId> {
-        None
-    }
-
-    fn can_compose(&self, _a: AttributeId, _b: AttributeId) -> bool {
-        false
-    }
-
-    fn supports_demographics(&self) -> bool {
-        false
     }
 }
 
@@ -468,7 +443,6 @@ pub fn bootstrap_ratios(
         target: [target.class_count, target.complement_count],
         base: [base.class_count, base.complement_count],
         channel: *channel,
-        replicates,
     };
     let specs: Vec<TargetingSpec> = (0..replicates)
         .map(|r| TargetingSpec::and_of([AttributeId(r)]))

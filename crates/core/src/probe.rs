@@ -660,28 +660,8 @@ mod tests {
             self.inner.estimate(spec)
         }
 
-        fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-            self.inner.check(spec)
-        }
-
-        fn catalog_len(&self) -> u32 {
-            self.inner.catalog_len()
-        }
-
-        fn attribute_name(&self, id: AttributeId) -> Option<String> {
-            self.inner.attribute_name(id)
-        }
-
-        fn attribute_feature(&self, id: AttributeId) -> Option<adcomp_targeting::FeatureId> {
-            self.inner.attribute_feature(id)
-        }
-
-        fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-            self.inner.can_compose(a, b)
-        }
-
-        fn supports_demographics(&self) -> bool {
-            self.inner.supports_demographics()
+        fn wraps(&self) -> Option<&dyn crate::source::EstimateSource> {
+            Some(self.inner.as_ref())
         }
     }
 

@@ -27,6 +27,7 @@
 use std::io;
 use std::sync::Arc;
 
+use adcomp_population::hash_api::Fnv1a;
 use adcomp_population::{AgeBucket, Gender};
 use adcomp_store::{RunStore, SnapshotIndex};
 use adcomp_targeting::{AttributeId, FeatureId, Location, OrGroup, TargetingSpec};
@@ -50,25 +51,14 @@ pub const KIND_SCHED_UNIT: u8 = 5;
 /// daemon's crash-recovery journal.
 pub const KIND_EPOCH: u8 = 6;
 
-/// FNV-1a 64 — stable across runs, platforms, and Rust versions
-/// (`DefaultHasher` guarantees none of that).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 fn salted(tag: &[u8], label: &str, rest: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(tag.len() + label.len() + rest.len() + 2);
-    buf.extend_from_slice(tag);
-    buf.push(0);
-    buf.extend_from_slice(label.as_bytes());
-    buf.push(0);
-    buf.extend_from_slice(rest);
-    fnv1a(&buf)
+    let mut hash = Fnv1a::new();
+    hash.write(tag);
+    hash.write(&[0]);
+    hash.write(label.as_bytes());
+    hash.write(&[0]);
+    hash.write(rest);
+    hash.finish()
 }
 
 /// Content-hash key of `spec` on the interface named `label`. The spec
@@ -406,6 +396,14 @@ impl InterfaceMeta {
         }
         let (fa, fb) = (self.features[a.0 as usize], self.features[b.0 as usize]);
         fa != u16::MAX && fb != u16::MAX && fa != fb
+    }
+
+    /// Attribute name, replayed (`None` when the source reported none).
+    pub fn name(&self, id: AttributeId) -> Option<String> {
+        match self.names.get(id.0 as usize) {
+            Some(name) if !name.is_empty() => Some(name.clone()),
+            _ => None,
+        }
     }
 
     /// Attribute feature, replayed.
@@ -876,13 +874,6 @@ mod tests {
         spec.demographics.genders = Some(vec![Gender::Female]);
         spec.demographics.ages = Some(vec![AgeBucket::A25_34, AgeBucket::A55Plus]);
         spec
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
     }
 
     #[test]

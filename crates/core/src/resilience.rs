@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use adcomp_obs::metrics::{Counter, Registry};
 use adcomp_platform::{PlatformError, RetryPolicy};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::source::{EstimateSource, SourceError};
 
@@ -279,39 +279,19 @@ impl EstimateSource for ResilientSource {
         self.inner.batch_window()
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        // Validation answers come from policy, not from the flaky
-        // estimate endpoint; a transport error here still surfaces.
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    // Validation answers come from policy, not from the flaky estimate
+    // endpoint, so `check` is inherited unretried: a transport error
+    // there still surfaces.
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcomp_platform::{
-        FaultKind, FaultPlan, FaultyPlatform, PlatformApi, Schedule, SimScale, Simulation,
-    };
+    use adcomp_platform::{FaultKind, FaultPlan, FaultyPlatform, Schedule, SimScale, Simulation};
+    use adcomp_targeting::AttributeId;
     use std::sync::OnceLock;
 
     fn sim() -> &'static Simulation {
@@ -319,51 +299,11 @@ mod tests {
         SIM.get_or_init(|| Simulation::build(48, SimScale::Test))
     }
 
-    /// Adapter: a `FaultyPlatform` as an `EstimateSource` (in-process,
-    /// no wire), mirroring the `AdPlatform` impl.
-    struct FaultySource(FaultyPlatform);
-
-    impl EstimateSource for FaultySource {
-        fn label(&self) -> String {
-            self.0.label().to_string()
-        }
-
-        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-            let req =
-                adcomp_platform::EstimateRequest::borrowed(spec, self.0.config().default_objective);
-            Ok(self.0.reach_estimate(&req)?.value)
-        }
-
-        fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-            self.0.check(spec).map_err(Into::into)
-        }
-
-        fn catalog_len(&self) -> u32 {
-            self.0.catalog().len() as u32
-        }
-
-        fn attribute_name(&self, id: AttributeId) -> Option<String> {
-            self.0.catalog().get(id).map(|e| e.name.clone())
-        }
-
-        fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-            self.0.catalog().get(id).map(|e| e.feature)
-        }
-
-        fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-            a != b
-        }
-
-        fn supports_demographics(&self) -> bool {
-            true
-        }
-    }
-
     fn faulty(plan: FaultPlan) -> Arc<dyn EstimateSource> {
-        Arc::new(FaultySource(FaultyPlatform::new(
+        Arc::new(crate::source::ApiSource(Arc::new(FaultyPlatform::new(
             sim().linkedin.clone(),
             plan,
-        )))
+        ))))
     }
 
     #[test]

@@ -183,6 +183,15 @@ impl From<PlatformError> for SourceError {
 }
 
 /// Anything the audit can query for rounded audience-size estimates.
+///
+/// Only [`label`](EstimateSource::label) and
+/// [`estimate`](EstimateSource::estimate) are required. The interface
+/// metadata (validation, catalog, composition rule, demographics
+/// support) is inherited: a decorator names the source it wraps through
+/// [`wraps`](EstimateSource::wraps) and answers for that source's
+/// catalog without restating it, while a leaf either answers from its
+/// platform or, wrapping nothing, fails closed (empty catalog, nothing
+/// composes, no demographics, every spec rejected).
 pub trait EstimateSource: Send + Sync {
     /// Report label ("Facebook", "FB-restricted", …).
     fn label(&self) -> String;
@@ -208,23 +217,48 @@ pub trait EstimateSource: Send + Sync {
         1
     }
 
+    /// The source this one decorates, whose interface metadata it
+    /// answers for (`None` for a leaf).
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        None
+    }
+
     /// Validates a spec without estimating.
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError>;
+    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
+        match self.wraps() {
+            Some(inner) => inner.check(spec),
+            None => Err(SourceError::Rejected(format!(
+                "{} has no catalog to validate against",
+                self.label()
+            ))),
+        }
+    }
 
     /// Number of catalog attributes.
-    fn catalog_len(&self) -> u32;
+    fn catalog_len(&self) -> u32 {
+        self.wraps().map_or(0, |inner| inner.catalog_len())
+    }
 
     /// Human-readable attribute name.
-    fn attribute_name(&self, id: AttributeId) -> Option<String>;
+    fn attribute_name(&self, id: AttributeId) -> Option<String> {
+        self.wraps()?.attribute_name(id)
+    }
 
     /// Feature family of an attribute (for composition rules).
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId>;
+    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
+        self.wraps()?.attribute_feature(id)
+    }
 
     /// Whether two attributes may be AND-composed on this interface.
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool;
+    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
+        self.wraps().is_some_and(|inner| inner.can_compose(a, b))
+    }
 
     /// Whether the interface itself supports gender/age constraint.
-    fn supports_demographics(&self) -> bool;
+    fn supports_demographics(&self) -> bool {
+        self.wraps()
+            .is_some_and(|inner| inner.supports_demographics())
+    }
 }
 
 /// An [`EstimateSource`] over any [`PlatformApi`] — the in-process
@@ -713,28 +747,8 @@ impl EstimateSource for RecordingSource {
         self.inner.batch_window()
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
@@ -845,10 +859,7 @@ impl EstimateSource for ReplaySource {
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        match self.meta.names.get(id.0 as usize) {
-            Some(name) if !name.is_empty() => Some(name.clone()),
-            _ => None,
-        }
+        self.meta.name(id)
     }
 
     fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
@@ -1040,6 +1051,76 @@ mod tests {
             matches!(direct.translate(&spec), std::borrow::Cow::Borrowed(_)),
             "direct targets must not clone on translate"
         );
+    }
+
+    #[test]
+    fn decorators_inherit_the_metadata_they_wrap() {
+        use crate::budget::{BudgetedSource, QueryBudget};
+        use crate::distributed::{ScheduledSource, SchedulerConfig};
+        use crate::engine::{MemoCache, MemoizedSource};
+        use crate::recording::InterfaceMeta;
+        use crate::resilience::{ResilienceConfig, ResilientSource};
+        let s = sim();
+        let dir =
+            std::env::temp_dir().join(format!("adcomp-source-inherit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(adcomp_store::RunStore::open(&dir).unwrap());
+        let leaves: [Arc<dyn EstimateSource>; 2] =
+            [s.facebook_restricted.clone(), s.google.clone()];
+        for leaf in leaves {
+            let decorators: [Arc<dyn EstimateSource>; 5] = [
+                Arc::new(RecordingSource::new(leaf.clone(), store.clone()).unwrap()),
+                Arc::new(MemoizedSource::new(
+                    leaf.clone(),
+                    Arc::new(MemoCache::new(16)),
+                )),
+                Arc::new(ResilientSource::new(leaf.clone(), ResilienceConfig::test())),
+                Arc::new(BudgetedSource::new(leaf.clone(), QueryBudget::capped(1))),
+                Arc::new(ScheduledSource::new(
+                    vec![leaf.clone()],
+                    SchedulerConfig::fast(),
+                    None,
+                )),
+            ];
+            let allowed = TargetingSpec::and_of([AttributeId(0)]);
+            let unknown = TargetingSpec::and_of([AttributeId(leaf.catalog_len())]);
+            assert!(leaf.check(&allowed).is_ok());
+            assert!(leaf.check(&unknown).is_err());
+            let meta = InterfaceMeta::capture(leaf.as_ref());
+            for decorator in decorators {
+                assert_eq!(InterfaceMeta::capture(decorator.as_ref()), meta);
+                for spec in [&allowed, &unknown] {
+                    assert_eq!(decorator.check(spec), leaf.check(spec), "{}", meta.label);
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "direct targets need demographic targeting")]
+    fn a_leaf_without_a_catalog_fails_closed() {
+        struct Bare;
+        impl EstimateSource for Bare {
+            fn label(&self) -> String {
+                "bare".into()
+            }
+            fn estimate(&self, _: &TargetingSpec) -> Result<u64, SourceError> {
+                Ok(1)
+            }
+        }
+        let bare: Arc<dyn EstimateSource> = Arc::new(Bare);
+        for spec in [
+            TargetingSpec::everyone(),
+            TargetingSpec::and_of([AttributeId(0)]),
+        ] {
+            assert!(matches!(bare.check(&spec), Err(SourceError::Rejected(_))));
+        }
+        assert_eq!(bare.catalog_len(), 0);
+        assert_eq!(bare.attribute_name(AttributeId(0)), None);
+        assert_eq!(bare.attribute_feature(AttributeId(0)), None);
+        assert!(!bare.can_compose(AttributeId(0), AttributeId(1)));
+        AuditTarget::direct(bare);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 
 use adcomp_bitset::Bitset;
+use adcomp_population::hash_api::Fnv1a;
 use adcomp_population::Universe;
 use rand::Rng;
 
@@ -133,15 +134,9 @@ impl DeliveryOutcome {
     /// FNV-1a digest of the impression log and settlement state — the
     /// byte-identity witness the equivalence tests compare.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        // Streamed: the impression log can hold millions of entries.
+        let mut h = Fnv1a::new();
+        let mut eat = |v: u64| h.write(&v.to_le_bytes());
         eat(self.rounds);
         eat(self.unfilled);
         for imp in &self.impressions {
@@ -158,7 +153,7 @@ impl DeliveryOutcome {
         {
             eat(v);
         }
-        h
+        h.finish()
     }
 
     /// The unique delivered users of roster campaign `index`.

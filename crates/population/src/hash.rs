@@ -20,6 +20,51 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// FNV-1a 64 offset basis.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a 64 prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Streaming FNV-1a 64 — stable across runs, platforms, and Rust
+/// versions (`DefaultHasher` guarantees none of that). Feeding bytes in
+/// several [`write`](Fnv1a::write)s digests the same as one
+/// [`fnv1a`] over their concatenation.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A digest of no bytes yet.
+    pub fn new() -> Fnv1a {
+        Fnv1a(FNV_OFFSET)
+    }
+
+    /// Folds `bytes` into the digest.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+/// FNV-1a 64 of one byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
 /// Combines a seed and two stream coordinates into one well-mixed word.
 #[inline]
 pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
@@ -61,6 +106,17 @@ mod tests {
             let state = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             assert_eq!(splitmix64(state), want, "output {i}");
         }
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+        let mut streamed = Fnv1a::new();
+        streamed.write(b"foo");
+        streamed.write(b"bar");
+        assert_eq!(streamed.finish(), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -78,9 +78,11 @@ pub(crate) use hash::{mix, normal_f32, uniform_f64};
 /// parameters from the same reproducible, stateless streams the universe
 /// itself uses. Coordinates `(seed, a, b)` identify a stream position.
 /// `splitmix64` is the one 64-bit mixer the crates above this one
-/// share (fault schedules, retry jitter, probe spec seeds).
+/// share (fault schedules, retry jitter, probe spec seeds), and
+/// [`Fnv1a`](hash_api::Fnv1a) their one stable digest (run-store keys,
+/// epoch and impression-log digests, config reload detection).
 pub mod hash_api {
-    pub use crate::hash::splitmix64;
+    pub use crate::hash::{fnv1a, splitmix64, Fnv1a, FNV_OFFSET, FNV_PRIME};
 
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(seed: u64, a: u64, b: u64) -> f64 {

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use adcomp_core::recording::EpochEvent;
 use adcomp_core::source::{EstimateSource, SourceError};
 use adcomp_obs::{Clock, ManualClock};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::config::ServeConfig;
 use crate::daemon::{Daemon, FaultInjector, FaultPoint, Tick, CHAOS_KILL};
@@ -122,28 +122,8 @@ impl EstimateSource for KillAfter {
         self.inner.estimate(spec)
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 

@@ -18,8 +18,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use adcomp_core::recording::fnv1a;
 use adcomp_platform::{InterfaceKind, SimScale};
+use adcomp_population::hash_api::fnv1a;
 
 /// Full daemon configuration.
 #[derive(Clone, Debug, PartialEq)]

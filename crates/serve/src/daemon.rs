@@ -30,12 +30,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adcomp_agg::{MetricsFrame, Telemetry, TelemetryPusher};
-use adcomp_core::recording::{fnv1a, EpochEvent};
+use adcomp_core::recording::EpochEvent;
 use adcomp_core::{
     drift_between_with, run_epoch, DriftOptions, EpochPlan, ResilienceConfig, SchedulerConfig,
 };
 use adcomp_obs::metrics::MetricKey;
 use adcomp_obs::{Clock, Registry, RunReport};
+use adcomp_population::hash_api::fnv1a;
 use adcomp_store::{RunStore, SyncPolicy, WalOptions};
 
 use crate::alert::{AlertSink, DriftAlert};

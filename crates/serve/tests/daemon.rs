@@ -9,7 +9,7 @@ use adcomp_core::source::{EstimateSource, SourceError};
 use adcomp_obs::{Clock, ManualClock};
 use adcomp_platform::{FaultKind, FaultPlan, Schedule};
 use adcomp_serve::{Daemon, ServeConfig, SimProvider, SourceProvider, StatusService, Tick};
-use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 use adcomp_wire::{serve_service, Client, ClientConfig, ServerConfig};
 
 fn tmp_root(tag: &str) -> std::path::PathBuf {
@@ -203,20 +203,8 @@ impl EstimateSource for FlakyCheck {
         }
         self.inner.check(spec)
     }
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
@@ -293,20 +281,8 @@ impl EstimateSource for DeadCheck {
     fn check(&self, _: &TargetingSpec) -> Result<(), SourceError> {
         Err(SourceError::Transport("unreachable".into()))
     }
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 

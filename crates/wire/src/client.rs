@@ -414,23 +414,6 @@ impl Client {
         }
     }
 
-    /// Fetches one attribute's name and feature.
-    pub fn attribute_info(&self, id: u32) -> Result<(String, u16), ClientError> {
-        match self.call(&Request::AttributeInfo { id })? {
-            Response::AttributeInfo { name, feature } => Ok((name, feature)),
-            Response::Error {
-                code,
-                message,
-                retry_after,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after,
-            }),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
-    }
-
     /// Validates a spec server-side.
     pub fn check(&self, spec: &TargetingSpec) -> Result<(), ClientError> {
         match self.call(&Request::Check { spec: spec.clone() })? {

@@ -17,11 +17,6 @@ use crate::codec::{CodecError, WireDecode, WireEncode, Writer};
 pub enum Request {
     /// Interface description (label, catalog size, capabilities).
     Describe,
-    /// Name/feature of one attribute.
-    AttributeInfo {
-        /// Attribute id.
-        id: u32,
-    },
     /// Validate a targeting spec against interface policy.
     Check {
         /// The spec.
@@ -34,8 +29,8 @@ pub enum Request {
     },
     /// Query-counter snapshot.
     Stats,
-    /// A page of catalog entries (bulk metadata download, so clients need
-    /// not issue one `AttributeInfo` per attribute).
+    /// A page of catalog entries — the one way to read attribute
+    /// metadata (names and features).
     CatalogPage {
         /// First attribute id of the page.
         start: u32,
@@ -108,13 +103,6 @@ pub enum Response {
         same_feature_and: bool,
         /// Estimates are impressions (vs users)?
         impressions: bool,
-    },
-    /// Attribute metadata.
-    AttributeInfo {
-        /// Human-readable name.
-        name: String,
-        /// Feature family.
-        feature: u16,
     },
     /// Spec passed validation.
     Ok,
@@ -326,11 +314,9 @@ impl WireDecode for TargetingSpec {
 impl WireEncode for Request {
     fn encode(&self, buf: &mut Writer) {
         match self {
+            // Tag 1 is retired and stays unassigned, so decoders reject
+            // it.
             Request::Describe => 0u8.encode(buf),
-            Request::AttributeInfo { id } => {
-                1u8.encode(buf);
-                id.encode(buf);
-            }
             Request::Check { spec } => {
                 2u8.encode(buf);
                 spec.encode(buf);
@@ -380,9 +366,6 @@ impl WireDecode for Request {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(match u8::decode(buf)? {
             0 => Request::Describe,
-            1 => Request::AttributeInfo {
-                id: u32::decode(buf)?,
-            },
             2 => Request::Check {
                 spec: TargetingSpec::decode(buf)?,
             },
@@ -423,6 +406,7 @@ impl WireDecode for Request {
 impl WireEncode for Response {
     fn encode(&self, buf: &mut Writer) {
         match self {
+            // Tag 1 is retired and unassigned, as for `Request`.
             Response::Described {
                 label,
                 catalog_len,
@@ -440,11 +424,6 @@ impl WireEncode for Response {
                 exclusions.encode(buf);
                 same_feature_and.encode(buf);
                 impressions.encode(buf);
-            }
-            Response::AttributeInfo { name, feature } => {
-                1u8.encode(buf);
-                name.encode(buf);
-                feature.encode(buf);
             }
             Response::Ok => 2u8.encode(buf),
             Response::Estimate { value } => {
@@ -520,10 +499,6 @@ impl WireDecode for Response {
                 exclusions: bool::decode(buf)?,
                 same_feature_and: bool::decode(buf)?,
                 impressions: bool::decode(buf)?,
-            },
-            1 => Response::AttributeInfo {
-                name: String::decode(buf)?,
-                feature: u16::decode(buf)?,
             },
             2 => Response::Ok,
             3 => Response::Estimate {
@@ -617,9 +592,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_tag_one_is_rejected() {
+        let frame = [1u8, 0, 0, 0, 42];
+        assert!(matches!(
+            from_bytes::<Request>(&frame),
+            Err(CodecError::InvalidTag { tag: 1, .. })
+        ));
+        assert!(matches!(
+            from_bytes::<Response>(&frame),
+            Err(CodecError::InvalidTag { tag: 1, .. })
+        ));
+    }
+
+    #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::Describe);
-        roundtrip_req(Request::AttributeInfo { id: 42 });
         roundtrip_req(Request::Check {
             spec: sample_spec(),
         });
@@ -640,10 +627,6 @@ mod tests {
             exclusions: true,
             same_feature_and: true,
             impressions: false,
-        });
-        roundtrip_resp(Response::AttributeInfo {
-            name: "Games — Racing games".into(),
-            feature: 0,
         });
         roundtrip_resp(Response::Ok);
         roundtrip_resp(Response::Estimate { value: 5_200_000 });

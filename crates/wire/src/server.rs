@@ -716,7 +716,6 @@ fn read_loop(
 fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
     requests_total(match &request {
         Request::Describe => "describe",
-        Request::AttributeInfo { .. } => "attribute_info",
         Request::Check { .. } => "check",
         Request::Estimate { .. } => "estimate",
         Request::CatalogPage { .. } => "catalog_page",
@@ -740,19 +739,6 @@ fn handle_request(platform: &dyn PlatformApi, request: Request) -> Response {
                 same_feature_and: caps.same_feature_and,
                 impressions: platform.config().estimate_kind
                     == adcomp_platform::EstimateKind::Impressions,
-            }
-        }
-        Request::AttributeInfo { id } => {
-            match platform.catalog().get(adcomp_targeting::AttributeId(id)) {
-                Some(entry) => Response::AttributeInfo {
-                    name: entry.name.clone(),
-                    feature: entry.feature.0,
-                },
-                None => Response::Error {
-                    code: ErrorCode::UnknownAttribute,
-                    message: format!("attribute #{id} not in catalog"),
-                    retry_after: None,
-                },
             }
         }
         Request::Check { spec } => match platform.check(&spec) {

@@ -40,7 +40,6 @@ fn arb_spec() -> impl Strategy<Value = TargetingSpec> {
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Describe),
-        any::<u32>().prop_map(|id| Request::AttributeInfo { id }),
         arb_spec().prop_map(|spec| Request::Check { spec }),
         arb_spec().prop_map(|spec| Request::Estimate { spec }),
         Just(Request::Stats),
@@ -70,8 +69,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 impressions: flags[4],
             }
         ),
-        (any::<String>(), any::<u16>())
-            .prop_map(|(name, feature)| Response::AttributeInfo { name, feature }),
         Just(Response::Ok),
         any::<u64>().prop_map(|value| Response::Estimate { value }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(

@@ -28,25 +28,32 @@ pub use adcomp_wire as wire;
 pub mod fleet;
 pub use fleet::Fleet;
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use adcomp_core::recording::InterfaceMeta;
 use adcomp_core::{EstimateSource, SourceError};
 use adcomp_targeting::{AttributeId, FeatureId, TargetingSpec};
 use adcomp_wire::{Client, ClientError, InterfaceDescription};
+
+/// Catalog entries requested per page (the server's page cap).
+const CATALOG_PAGE: u32 = 1_000;
 
 /// An [`EstimateSource`] backed by a wire-protocol [`Client`], letting
 /// every audit in `adcomp-core` run unchanged against a *remote*
 /// platform — the audit cannot tell the difference, just as the paper's
 /// scripts only saw HTTP endpoints.
 ///
-/// Attribute metadata is fetched lazily and cached; estimates always go
-/// to the server.
+/// The catalog's metadata is paged in whole on the first call that
+/// needs it (or on [`prefetch_catalog`](RemoteSource::prefetch_catalog))
+/// and answered from then on the way a [`ReplaySource`] answers; a
+/// failed download is not kept, so the next call tries again. Checks
+/// and estimates always go to the server.
+///
+/// [`ReplaySource`]: adcomp_core::ReplaySource
 pub struct RemoteSource {
     client: Client,
     description: InterfaceDescription,
-    features: Mutex<HashMap<u32, Option<FeatureId>>>,
-    names: Mutex<HashMap<u32, String>>,
+    meta: Mutex<Option<Arc<InterfaceMeta>>>,
 }
 
 impl RemoteSource {
@@ -56,35 +63,15 @@ impl RemoteSource {
         Ok(RemoteSource {
             client,
             description,
-            features: Mutex::new(HashMap::new()),
-            names: Mutex::new(HashMap::new()),
+            meta: Mutex::new(None),
         })
     }
 
-    /// Bulk-downloads the whole catalog's metadata through the paginated
-    /// endpoint, so subsequent `attribute_name`/`attribute_feature`/
-    /// `can_compose` calls are served from cache instead of one
-    /// round-trip each. Returns the number of entries fetched.
+    /// Downloads the whole catalog's metadata now, so no later
+    /// `attribute_name`/`attribute_feature`/`can_compose` call touches
+    /// the wire. Returns the number of catalog entries held.
     pub fn prefetch_catalog(&self) -> Result<usize, ClientError> {
-        let mut start = 0u32;
-        let mut fetched = 0usize;
-        loop {
-            let (entries, next) = self.client.catalog_page(start, 1_000)?;
-            {
-                let mut names = self.lock_names();
-                let mut features = self.lock_features();
-                for (offset, (name, feature)) in entries.iter().enumerate() {
-                    let id = start + offset as u32;
-                    names.insert(id, name.clone());
-                    features.insert(id, Some(FeatureId(*feature)));
-                }
-            }
-            fetched += entries.len();
-            match next {
-                Some(n) => start = n,
-                None => return Ok(fetched),
-            }
-        }
+        Ok(self.catalog()?.names.len())
     }
 
     /// Connects and wraps in one step.
@@ -99,28 +86,37 @@ impl RemoteSource {
         &self.description
     }
 
-    fn feature_cached(&self, id: AttributeId) -> Option<FeatureId> {
-        if let Some(f) = self.lock_features().get(&id.0) {
-            return *f;
+    /// The catalog metadata, paged in on first use. The lock is held
+    /// across the download so concurrent first callers share one fetch.
+    fn catalog(&self) -> Result<Arc<InterfaceMeta>, ClientError> {
+        let mut slot = self.meta.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(meta) = slot.as_ref() {
+            return Ok(meta.clone());
         }
-        let fetched = match self.client.attribute_info(id.0) {
-            Ok((_, feature)) => Some(FeatureId(feature)),
-            Err(_) => None,
-        };
-        self.lock_features().insert(id.0, fetched);
-        fetched
-    }
-
-    fn lock_features(&self) -> std::sync::MutexGuard<'_, HashMap<u32, Option<FeatureId>>> {
-        self.features
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_names(&self) -> std::sync::MutexGuard<'_, HashMap<u32, String>> {
-        self.names
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        let d = &self.description;
+        let mut names = Vec::with_capacity(d.catalog_len as usize);
+        let mut features = Vec::with_capacity(d.catalog_len as usize);
+        let mut start = 0u32;
+        loop {
+            let (entries, next) = self.client.catalog_page(start, CATALOG_PAGE)?;
+            for (name, feature) in entries {
+                names.push(name);
+                features.push(feature);
+            }
+            match next {
+                Some(n) => start = n,
+                None => break,
+            }
+        }
+        let meta = Arc::new(InterfaceMeta {
+            label: d.label.clone(),
+            supports_demographics: d.gender_targeting && d.age_targeting,
+            same_feature_and: d.same_feature_and,
+            names,
+            features,
+        });
+        *slot = Some(meta.clone());
+        Ok(meta)
     }
 }
 
@@ -182,31 +178,15 @@ impl EstimateSource for RemoteSource {
     }
 
     fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        if let Some(name) = self.lock_names().get(&id.0) {
-            return Some(name.clone());
-        }
-        let (name, feature) = self.client.attribute_info(id.0).ok()?;
-        self.lock_names().insert(id.0, name.clone());
-        self.lock_features().insert(id.0, Some(FeatureId(feature)));
-        Some(name)
+        self.catalog().ok()?.name(id)
     }
 
     fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.feature_cached(id)
+        self.catalog().ok()?.feature(id)
     }
 
     fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        if a == b {
-            return false;
-        }
-        if self.description.same_feature_and {
-            true
-        } else {
-            match (self.feature_cached(a), self.feature_cached(b)) {
-                (Some(fa), Some(fb)) => fa != fb,
-                _ => false,
-            }
-        }
+        self.catalog().is_ok_and(|meta| meta.can_compose(a, b))
     }
 
     fn supports_demographics(&self) -> bool {

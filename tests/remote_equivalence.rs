@@ -4,14 +4,17 @@
 
 use std::sync::Arc;
 
+use discrimination_via_composition::audit::recording::InterfaceMeta;
 use discrimination_via_composition::audit::{
     measure_spec, rank_individuals, survey_individuals, top_compositions, AuditTarget, Direction,
     DiscoveryConfig, EstimateSource, SensitiveClass,
 };
-use discrimination_via_composition::platform::{SimScale, Simulation};
+use discrimination_via_composition::platform::{RetryPolicy, SimScale, Simulation};
 use discrimination_via_composition::population::Gender;
 use discrimination_via_composition::targeting::{AttributeId, TargetingSpec};
-use discrimination_via_composition::wire::{serve, ServerConfig};
+use discrimination_via_composition::wire::{
+    serve, Client, ClientConfig, ConnectionFault, ConnectionFaultHook, ServerConfig,
+};
 use discrimination_via_composition::RemoteSource;
 
 #[test]
@@ -79,12 +82,52 @@ fn prefetch_catalog_matches_per_id_fetches() {
     let bulk = RemoteSource::connect(handle.addr()).unwrap();
     let fetched = bulk.prefetch_catalog().unwrap();
     assert_eq!(fetched as u32, bulk.catalog_len());
+    // Without the prefetch, the first metadata call pages the catalog in.
     let lazy = RemoteSource::connect(handle.addr()).unwrap();
-    for id in (0..bulk.catalog_len()).step_by(17) {
-        let id = AttributeId(id);
-        assert_eq!(bulk.attribute_name(id), lazy.attribute_name(id));
-        assert_eq!(bulk.attribute_feature(id), lazy.attribute_feature(id));
+    let served: Arc<dyn EstimateSource> = sim.facebook.clone();
+    assert_eq!(served.catalog_len(), bulk.catalog_len());
+    for remote in [&bulk, &lazy] {
+        let unknown = served.catalog_len();
+        for id in (0..unknown).step_by(17).chain([unknown]) {
+            let id = AttributeId(id);
+            assert_eq!(remote.attribute_name(id), served.attribute_name(id));
+            assert_eq!(remote.attribute_feature(id), served.attribute_feature(id));
+        }
+        assert_eq!(
+            InterfaceMeta::capture(remote),
+            InterfaceMeta::capture(served.as_ref())
+        );
     }
+    handle.shutdown();
+}
+
+/// Drops the one request with the given index (0 is `Describe`).
+struct DropRequest(u64);
+
+impl ConnectionFaultHook for DropRequest {
+    fn fault_for(&self, index: u64) -> Option<ConnectionFault> {
+        (index == self.0).then_some(ConnectionFault::Drop)
+    }
+}
+
+#[test]
+fn failed_catalog_fetch_is_not_kept() {
+    let sim = Simulation::build(559, SimScale::Test);
+    let config = ServerConfig::default().with_fault_hook(Arc::new(DropRequest(1)));
+    let handle = serve(sim.google.clone(), "127.0.0.1:0", config).unwrap();
+    let client = Client::connect_with(
+        handle.addr(),
+        ClientConfig {
+            retry: RetryPolicy::none(),
+            ..ClientConfig::fast()
+        },
+    )
+    .unwrap();
+    let remote = RemoteSource::new(client).unwrap();
+    let id = AttributeId(0);
+    assert_eq!(remote.attribute_feature(id), None, "first fetch is dropped");
+    let served = sim.google.catalog().get(id).unwrap().feature;
+    assert_eq!(remote.attribute_feature(id), Some(served));
     handle.shutdown();
 }
 

@@ -20,7 +20,7 @@ use discrimination_via_composition::audit::{
 };
 use discrimination_via_composition::platform::{SimScale, Simulation};
 use discrimination_via_composition::store::RunStore;
-use discrimination_via_composition::targeting::{AttributeId, FeatureId, TargetingSpec};
+use discrimination_via_composition::targeting::TargetingSpec;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir =
@@ -67,28 +67,8 @@ impl EstimateSource for FailAfter {
         self.inner.estimate(spec)
     }
 
-    fn check(&self, spec: &TargetingSpec) -> Result<(), SourceError> {
-        self.inner.check(spec)
-    }
-
-    fn catalog_len(&self) -> u32 {
-        self.inner.catalog_len()
-    }
-
-    fn attribute_name(&self, id: AttributeId) -> Option<String> {
-        self.inner.attribute_name(id)
-    }
-
-    fn attribute_feature(&self, id: AttributeId) -> Option<FeatureId> {
-        self.inner.attribute_feature(id)
-    }
-
-    fn can_compose(&self, a: AttributeId, b: AttributeId) -> bool {
-        self.inner.can_compose(a, b)
-    }
-
-    fn supports_demographics(&self) -> bool {
-        self.inner.supports_demographics()
+    fn wraps(&self) -> Option<&dyn EstimateSource> {
+        Some(self.inner.as_ref())
     }
 }
 
