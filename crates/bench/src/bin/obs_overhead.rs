@@ -12,13 +12,19 @@
 //! the best of several rounds to shed scheduler noise. The budget is
 //! **<5 %** overhead for both instrumented modes; the binary exits
 //! non-zero beyond it, so CI can gate on it.
+//!
+//! It also reports, ungated (the figures are hardware dependent), how
+//! many captured metric frames per second one [`Aggregator`] merges,
+//! called directly and pushed through the wire service, and how many
+//! frames the push mode delivered.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use adcomp_agg::{AggService, Aggregator, PusherConfig, Telemetry, TelemetryPusher};
+use adcomp_agg::{AggService, Aggregator, MetricsFrame, PusherConfig, Telemetry, TelemetryPusher};
 use adcomp_bench::{context, say, Cli};
 use adcomp_core::{measure_spec, AuditTarget};
+use adcomp_obs::Registry;
 use adcomp_platform::InterfaceKind;
 use adcomp_serve::{status_frame, DaemonStatus};
 use adcomp_targeting::{AttributeId, TargetingSpec};
@@ -40,6 +46,8 @@ const THRESHOLD_PCT: f64 = 5.0;
 /// Status-frame exports per workload pass in push mode (the daemon
 /// pushes once per epoch; one pass is the bench's epoch).
 const PUSHES_PER_PASS: usize = 1;
+/// Frames merged when timing aggregator ingest.
+const INGEST_FRAMES: u64 = 2_000;
 
 fn workload(
     target: &AuditTarget,
@@ -82,6 +90,38 @@ fn timed_round(
     (start.elapsed().as_nanos() as f64 / ops as f64, ops)
 }
 
+/// Frames per second the aggregator merges, direct and over the wire.
+fn ingest_throughput(frame: &Telemetry) -> (f64, f64) {
+    // Direct: the merge cost alone.
+    let agg = Aggregator::new();
+    let start = Instant::now();
+    for seq in 0..INGEST_FRAMES {
+        agg.ingest("bench-direct", seq + 1, frame.clone());
+    }
+    let direct = INGEST_FRAMES as f64 / start.elapsed().as_secs_f64();
+
+    // Wire: decode + merge behind the TCP service, one client, one
+    // connection — the shape a daemon's pusher produces.
+    let agg = Arc::new(Aggregator::new());
+    let handle = serve_service(
+        Arc::new(AggService::new(agg.clone())),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind aggregator");
+    let client = adcomp_wire::Client::connect(handle.addr()).expect("connect");
+    let payload = adcomp_wire::to_bytes(frame);
+    let start = Instant::now();
+    for seq in 0..INGEST_FRAMES {
+        client
+            .telemetry_push("bench-wire", seq + 1, payload.clone())
+            .expect("push");
+    }
+    let wire = INGEST_FRAMES as f64 / start.elapsed().as_secs_f64();
+    handle.shutdown();
+    (direct, wire)
+}
+
 fn main() {
     let cli = Cli::parse();
     let ctx = context(cli);
@@ -121,6 +161,8 @@ fn main() {
         baseline = baseline.min(ns);
     }
     adcomp_obs::set_enabled(true);
+    pusher.flush(Duration::from_secs(5));
+    let frames_pushed = agg.pushes_total();
     drop(pusher);
     handle.shutdown();
 
@@ -135,6 +177,10 @@ fn main() {
     let push_overhead_pct = pct(with_push);
     let pass = overhead_pct < THRESHOLD_PCT && push_overhead_pct < THRESHOLD_PCT;
 
+    // Ingest throughput on a frame the size the workload produced.
+    let frame = Telemetry::Metrics(MetricsFrame::capture(Registry::global()));
+    let (ingest_direct, ingest_wire) = ingest_throughput(&frame);
+
     let json = format!(
         "{{\n  \"bench\": \"obs_overhead\",\n  \"ops_per_round\": {ops},\n  \
          \"rounds\": {ROUNDS},\n  \"baseline_ns_per_op\": {baseline:.1},\n  \
@@ -142,13 +188,17 @@ fn main() {
          \"push_ns_per_op\": {with_push:.1},\n  \
          \"overhead_pct\": {overhead_pct:.2},\n  \
          \"push_overhead_pct\": {push_overhead_pct:.2},\n  \
-         \"threshold_pct\": {THRESHOLD_PCT:.1},\n  \"pass\": {pass}\n}}\n"
+         \"threshold_pct\": {THRESHOLD_PCT:.1},\n  \
+         \"frames_pushed\": {frames_pushed},\n  \
+         \"ingest_direct_frames_per_sec\": {ingest_direct:.0},\n  \
+         \"ingest_wire_frames_per_sec\": {ingest_wire:.0},\n  \"pass\": {pass}\n}}\n"
     );
     std::fs::write("BENCH_obs_overhead.json", &json).expect("write BENCH_obs_overhead.json");
     say!("{json}");
     adcomp_obs::info!(
         "obs overhead: {overhead_pct:.2}% recording, {push_overhead_pct:.2}% with push exporter \
-         ({instrumented:.1}/{with_push:.1} vs {baseline:.1} ns/query, budget {THRESHOLD_PCT}%)"
+         ({instrumented:.1}/{with_push:.1} vs {baseline:.1} ns/query, budget {THRESHOLD_PCT}%); \
+         ingest {ingest_direct:.0}/s direct, {ingest_wire:.0}/s wire"
     );
     if !pass {
         adcomp_obs::error!("instrumentation overhead exceeds the {THRESHOLD_PCT}% budget");

@@ -13,34 +13,33 @@
 //!    (ratios, recall, inclusion–exclusion sums) consumes estimates by
 //!    *position*, not by arrival time.
 //!
-//! [`QueryEngine`] is a bounded worker pool executing batches of specs
-//! against any [`EstimateSource`] and returning results **in submission
-//! order**, so parallel runs are bit-identical to serial ones.
-//! [`MemoCache`]/[`MemoizedSource`] dedupe repeated specs (the base
-//! population and class-constraint queries every experiment re-issues)
-//! behind a sharded, capacity-bounded map keyed on canonicalized specs.
+//! [`QueryEngine`] fans a batch of specs out over scoped worker threads
+//! against any [`EstimateSource`] and returns results **in submission
+//! order**, so parallel runs are bit-identical to serial ones. Its
+//! ordered fan-out, [`QueryEngine::map_ranges`], also serves work that is
+//! not a platform query (the bootstrap replicates of the uncertainty
+//! audit). [`MemoCache`]/[`MemoizedSource`] dedupe repeated specs (the
+//! base population and class-constraint queries every experiment
+//! re-issues) behind a sharded, capacity-bounded map keyed on
+//! canonicalized specs.
 //!
-//! Everything is observable: queue-depth and in-flight gauges, a
-//! batch-latency histogram, and memo hit/miss/eviction counters, all in
-//! the global [`Registry`].
+//! Everything is observable: a batch-latency histogram, a query counter,
+//! and memo hit/miss/eviction counters, all in the global [`Registry`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use adcomp_obs::metrics::{duration_us_buckets, Counter, Gauge, Histogram, Registry};
+use adcomp_obs::metrics::{duration_us_buckets, Counter, Histogram, Registry};
 use adcomp_targeting::TargetingSpec;
 
 use crate::source::{EstimateSource, SourceError};
 
-/// Bound of the job queue; submitters block when it is full.
-const QUEUE_DEPTH: usize = 64;
-
-/// Worker-pool parameters.
+/// Engine parameters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads (0 → available parallelism).
@@ -48,7 +47,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A pool of exactly `workers` threads.
+    /// An engine running each batch on exactly `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig { workers }
     }
@@ -64,65 +63,35 @@ impl EngineConfig {
     }
 }
 
-/// One unit of work: a contiguous slice of a submitted batch.
-struct Job {
-    start: usize,
-    specs: Vec<TargetingSpec>,
-    source: Arc<dyn EstimateSource>,
-    reply: Sender<(usize, Vec<Result<u64, SourceError>>)>,
-}
-
-/// A bounded worker pool executing estimate batches in deterministic
+/// Executes estimate batches across worker threads in deterministic
 /// submission order.
 ///
-/// Workers are spawned once at construction and live until the engine is
-/// dropped. [`run_on`](QueryEngine::run_on) may be called concurrently
-/// from any number of threads; each call gets its own reply channel, so
-/// batches never interleave results.
+/// Each batch runs on its own scoped threads, which end with the batch:
+/// nothing outlives a call, so a panicking source fails only the batch
+/// it panicked in. [`run_on`](QueryEngine::run_on) may be called
+/// concurrently from any number of threads; each call gets its own
+/// `workers` threads.
 pub struct QueryEngine {
-    jobs: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    worker_count: usize,
-    queue_depth: Arc<Gauge>,
+    workers: usize,
     batch_latency_us: Arc<Histogram>,
     queries: Arc<Counter>,
 }
 
 impl QueryEngine {
-    /// Spawns the worker pool.
+    /// An engine running each batch on `config.workers` threads.
     pub fn new(config: EngineConfig) -> QueryEngine {
         let reg = Registry::global();
-        let queue_depth = reg.gauge("adcomp_engine_queue_depth");
-        let in_flight = reg.gauge("adcomp_engine_in_flight");
-        let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
-        // Workers share the one queue; each holds the lock only while it
-        // waits for its next job.
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.resolved_workers())
-            .map(|i| {
-                let rx = rx.clone();
-                let queue_depth = queue_depth.clone();
-                let in_flight = in_flight.clone();
-                std::thread::Builder::new()
-                    .name(format!("adcomp-engine-{i}"))
-                    .spawn(move || worker_loop(rx, queue_depth, in_flight))
-                    .expect("spawn engine worker")
-            })
-            .collect();
         QueryEngine {
-            jobs: Some(tx),
-            workers,
-            worker_count: config.resolved_workers(),
-            queue_depth,
+            workers: config.resolved_workers(),
             batch_latency_us: reg
                 .histogram("adcomp_engine_batch_latency_us", duration_us_buckets()),
             queries: reg.counter("adcomp_engine_queries_total"),
         }
     }
 
-    /// Worker threads in the pool.
+    /// Worker threads per batch.
     pub fn workers(&self) -> usize {
-        self.worker_count
+        self.workers
     }
 
     /// Executes `specs` against `source` and returns one result per spec,
@@ -137,85 +106,76 @@ impl QueryEngine {
         source: Arc<dyn EstimateSource>,
         specs: Vec<TargetingSpec>,
     ) -> Vec<Result<u64, SourceError>> {
-        let total = specs.len();
-        if total == 0 {
+        self.queries.add(specs.len() as u64);
+        let chunk = self.chunk_size(specs.len(), source.batch_window());
+        self.map_ranges(specs.len(), chunk, |range| {
+            source.estimate_batch(&specs[range])
+        })
+    }
+
+    /// Runs `f` over `0..len` cut into contiguous ranges of `chunk`
+    /// indices (the last one may be shorter) and concatenates the
+    /// outputs **in range order**, whichever thread ran which range.
+    ///
+    /// Up to [`workers`](QueryEngine::workers) scoped threads claim
+    /// ranges from a shared cursor until none are left; the call returns
+    /// when every range is done, and a panic in `f` reaches the caller.
+    /// `f` must return one output per index for the result to line up
+    /// with `0..len`. The call is one observation of
+    /// `adcomp_engine_batch_latency_us`.
+    pub fn map_ranges<T: Send>(
+        &self,
+        len: usize,
+        chunk: usize,
+        f: impl Fn(Range<usize>) -> Vec<T> + Sync,
+    ) -> Vec<T> {
+        if len == 0 {
             return Vec::new();
         }
         let start = Instant::now();
-        self.queries.add(total as u64);
-        let chunk = self.chunk_size(total, source.batch_window());
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let jobs = self.jobs.as_ref().expect("engine workers are alive");
-        let mut specs = specs.into_iter();
-        let mut submitted = 0usize;
-        let mut pending = 0usize;
-        // Submit front-to-back, moving each spec once into its job.
-        while submitted < total {
-            let job = Job {
-                start: submitted,
-                specs: specs.by_ref().take(chunk).collect(),
-                source: source.clone(),
-                reply: reply_tx.clone(),
-            };
-            submitted += job.specs.len();
-            self.queue_depth.add(1);
-            assert!(jobs.send(job).is_ok(), "engine workers are alive");
-            pending += 1;
-        }
-        drop(reply_tx);
-        let mut results: Vec<Option<Result<u64, SourceError>>> = vec![None; total];
-        for _ in 0..pending {
-            let (start, chunk_results) = reply_rx.recv().expect("engine workers reply");
-            for (offset, r) in chunk_results.into_iter().enumerate() {
-                results[start + offset] = Some(r);
+        let chunk = chunk.max(1);
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                // The cursor hands out indices only; outputs come back
+                // through `join`, which orders them before the merge.
+                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if lo >= len {
+                    return done;
+                }
+                done.push((lo, f(lo..(lo + chunk).min(len))));
             }
-        }
+        };
+        // Every range runs on a spawned thread, never the caller's, so
+        // no work inherits the caller's ambient trace context.
+        let threads = self.workers.min(len.div_ceil(chunk));
+        let mut parts: Vec<(usize, Vec<T>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        parts.sort_unstable_by_key(|&(lo, _)| lo);
+        let out = parts.into_iter().flat_map(|(_, part)| part).collect();
         self.batch_latency_us.observe_duration(start.elapsed());
-        results
-            .into_iter()
-            .map(|r| r.expect("every index answered exactly once"))
-            .collect()
+        out
     }
 
     fn chunk_size(&self, total: usize, window: usize) -> usize {
         if window > 1 {
             return window;
         }
-        // Several jobs per worker for load balance, but big enough that
-        // channel traffic is noise next to the estimates themselves.
-        (total / (self.worker_count * 4)).clamp(1, 64)
-    }
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>, queue_depth: Arc<Gauge>, in_flight: Arc<Gauge>) {
-    loop {
-        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok(job) = next else {
-            break;
-        };
-        queue_depth.add(-1);
-        in_flight.add(1);
-        let results = job.source.estimate_batch(&job.specs);
-        in_flight.add(-1);
-        // A dropped reply receiver means the submitter is gone; nothing
-        // left to do with the results.
-        let _ = job.reply.send((job.start, results));
-    }
-}
-
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        // Closing the job channel ends every worker's recv loop.
-        self.jobs.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        // Several ranges per worker for load balance, but big enough
+        // that claiming one is noise next to the estimates themselves.
+        (total / (self.workers * 4)).clamp(1, 64)
     }
 }
 
 impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "QueryEngine(workers={})", self.worker_count)
+        write!(f, "QueryEngine(workers={})", self.workers)
     }
 }
 
@@ -498,26 +458,65 @@ mod tests {
 
     #[test]
     fn engine_keeps_submission_order_across_partial_chunks() {
-        let engine = QueryEngine::new(EngineConfig::with_workers(2));
         // Unbatched sources get a share of the batch (8, 63, 64 and 64
-        // specs here), windowed ones their window; every size below
-        // leaves a partial last chunk either way.
-        for window in [1, 512] {
-            let source: Arc<dyn EstimateSource> = Arc::new(Synthetic(window));
-            for total in [65, 511, 513, 100_003] {
-                let chunk = engine.chunk_size(total, window);
-                assert_ne!(total % chunk, 0, "window {window}, batch {total}");
-                let batch: Vec<TargetingSpec> = (0..total as u32)
-                    .map(|i| TargetingSpec::and_of([AttributeId(i)]))
-                    .collect();
-                let serial = source.estimate_batch(&batch);
-                assert_eq!(
-                    engine.run_on(source.clone(), batch),
-                    serial,
-                    "window {window}, batch {total}"
-                );
+        // specs at 2 workers), windowed ones their window; every case
+        // leaves a partial last chunk or has more workers than chunks.
+        for (workers, totals) in [(2, &[65, 511, 513, 100_003][..]), (5, &[3][..])] {
+            let engine = QueryEngine::new(EngineConfig::with_workers(workers));
+            for window in [1, 512] {
+                let source: Arc<dyn EstimateSource> = Arc::new(Synthetic(window));
+                for &total in totals {
+                    let chunk = engine.chunk_size(total, window);
+                    let case = format!("{workers} workers, window {window}, batch {total}");
+                    assert!(
+                        total % chunk != 0 || total.div_ceil(chunk) < workers,
+                        "{case}"
+                    );
+                    let batch: Vec<TargetingSpec> = (0..total as u32)
+                        .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+                        .collect();
+                    let serial = source.estimate_batch(&batch);
+                    assert_eq!(engine.run_on(source.clone(), batch), serial, "{case}");
+                }
             }
         }
+    }
+
+    /// Answers like [`Synthetic`] but panics on one attribute id.
+    struct PanicsOn(u32);
+    impl EstimateSource for PanicsOn {
+        fn label(&self) -> String {
+            "panics".to_string()
+        }
+        fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
+            let id = spec.include[0].attributes[0].0;
+            assert_ne!(id, self.0, "source fails on attribute {id}");
+            Synthetic(1).estimate(spec)
+        }
+    }
+
+    #[test]
+    fn engine_survives_a_panicking_source() {
+        let engine = QueryEngine::new(EngineConfig::with_workers(1));
+        let batch: Vec<TargetingSpec> = (0..8)
+            .map(|i| TargetingSpec::and_of([AttributeId(i)]))
+            .collect();
+        let failing: Arc<dyn EstimateSource> = Arc::new(PanicsOn(3));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_on(failing, batch.clone())
+        }));
+        let payload = caught.expect_err("the source's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("source fails on attribute 3"), "{message}");
+        // The same engine still answers, with every worker.
+        let source: Arc<dyn EstimateSource> = Arc::new(PanicsOn(u32::MAX));
+        assert_eq!(
+            engine.run_on(source.clone(), batch.clone()),
+            source.estimate_batch(&batch)
+        );
     }
 
     #[test]

@@ -27,20 +27,18 @@
 //! * **stochastic** — a seeded, counter-driven bootstrap
 //!   ([`resample_counts`]): replicate `r` is a pure function of
 //!   `(seed, r)`, so the fan-out is byte-identical whether the
-//!   replicates run serially, across a [`QueryEngine`] worker pool, or
+//!   replicates run serially, across [`QueryEngine`] workers, or
 //!   in a recorded-then-resumed audit.
 //!
-//! The replicates are dispatched as a batch through the existing
-//! [`QueryEngine`] machinery (a [`ReplicateSource`] is an
-//! [`EstimateSource`] whose "estimates" are ratio bit-patterns), so the
-//! bootstrap reuses the audit's scheduling, pooling, and
-//! submission-order result discipline instead of growing a second
-//! thread pool. Replicate evaluation is derived data — it issues no
-//! platform queries, so recorded runs replay with zero re-issued
-//! queries.
+//! The replicates fan out through [`QueryEngine::map_ranges`], the
+//! engine's ordered fan-out, in contiguous ranges whose outputs are
+//! concatenated in range order. Replicate evaluation is derived data —
+//! it issues no platform queries, so recorded runs replay with zero
+//! re-issued queries.
 //!
 //! [`RoundingRule::inverse_interval`]: adcomp_platform::RoundingRule::inverse_interval
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use adcomp_delivery::{deliver, DeliveryConfig, DeliverySetup};
@@ -50,13 +48,13 @@ use adcomp_infer::{
 };
 use adcomp_platform::{AdPlatform, InterfaceKind, RoundingRule, SimScale};
 use adcomp_population::{AttributeInference, Gender};
-use adcomp_targeting::{AttributeId, TargetingSpec};
+use adcomp_targeting::TargetingSpec;
 
 use crate::discovery::{rank_individuals, top_compositions, Direction, MeasuredTargeting};
 use crate::engine::QueryEngine;
 use crate::metrics::{four_fifths_band, measure_spec_batch, rep_ratio, SkewBand, SpecMeasurement};
 use crate::mitigation::{PreflightConfig, PreflightGate, PreflightVerdict};
-use crate::source::{AuditTarget, EstimateSource, SensitiveClass, SourceError};
+use crate::source::{AuditTarget, SensitiveClass, SourceError};
 
 use super::delivery_exp::{interface_salt, paired_campaigns, PairedAdConfig};
 use super::{ExperimentConfig, ExperimentContext};
@@ -374,62 +372,35 @@ fn systematic_interval(
 const TARGET_RESAMPLE_SALT: u64 = 0x7A47;
 const BASE_RESAMPLE_SALT: u64 = 0xBA5E;
 
-/// An [`EstimateSource`] over a bootstrap fan-out: the spec naming
-/// attribute `r` is replicate `r`, and its "estimate" is the replicate's
-/// corrected ratio as an IEEE-754 bit pattern (`NaN` for degenerate
-/// replicates). It has no catalog of its own. Each replicate is a pure
-/// function of `(seed, r)` via [`resample_counts`]'s counter streams, so
-/// dispatching the replicates through a [`QueryEngine`] pool returns — in submission order — the
-/// byte-identical sample vector a serial loop produces.
-pub struct ReplicateSource {
+/// Bootstrap replicates per range of the pooled fan-out. One replicate
+/// is a handful of binomial draws (microseconds, not a platform
+/// round-trip), so workers take big contiguous slabs and thread
+/// dispatch is amortised across hundreds of replicates.
+const REPLICATE_CHUNK: usize = 512;
+
+/// The corrected ratio of replicate `r` (`NaN` when degenerate).
+fn replicate_ratio(
     seed: u64,
-    target: [u64; 2],
-    base: [u64; 2],
-    channel: ClassChannel,
-}
-
-impl ReplicateSource {
-    /// The corrected ratio of replicate `r`.
-    fn ratio(&self, replicate: u64) -> f64 {
-        let t = resample_counts(self.seed ^ TARGET_RESAMPLE_SALT, replicate, &self.target);
-        let b = resample_counts(self.seed ^ BASE_RESAMPLE_SALT, replicate, &self.base);
-        // Resampling covers sampling noise only; rounding and missing
-        // mass are systematic and already in the interval's other leg.
-        let tp = MeasuredPair::exact(t[0], t[1], 0);
-        let bp = MeasuredPair::exact(b[0], b[1], 0);
-        point_ratio(&tp, &bp, &self.channel).unwrap_or(f64::NAN)
-    }
-}
-
-impl EstimateSource for ReplicateSource {
-    fn label(&self) -> String {
-        "bootstrap-replicates".to_string()
-    }
-
-    fn estimate(&self, spec: &TargetingSpec) -> Result<u64, SourceError> {
-        let replicate = spec
-            .include
-            .first()
-            .and_then(|group| group.attributes.first())
-            .map(|a| u64::from(a.0))
-            .unwrap_or(0);
-        Ok(self.ratio(replicate).to_bits())
-    }
-
-    fn batch_window(&self) -> usize {
-        // One replicate is a handful of binomial draws — microseconds,
-        // not a platform round-trip. Hand workers big contiguous slabs
-        // so engine dispatch is amortised across hundreds of replicates
-        // (chunking never changes results: replicate `r` is a pure
-        // function of `(seed, r)`).
-        512
-    }
+    target: &[u64; 2],
+    base: &[u64; 2],
+    channel: &ClassChannel,
+    replicate: u64,
+) -> f64 {
+    let t = resample_counts(seed ^ TARGET_RESAMPLE_SALT, replicate, target);
+    let b = resample_counts(seed ^ BASE_RESAMPLE_SALT, replicate, base);
+    // Resampling covers sampling noise only; rounding and missing mass
+    // are systematic and already in the interval's other leg.
+    let tp = MeasuredPair::exact(t[0], t[1], 0);
+    let bp = MeasuredPair::exact(b[0], b[1], 0);
+    point_ratio(&tp, &bp, channel).unwrap_or(f64::NAN)
 }
 
 /// The bootstrap sample vector of one cell: `replicates` corrected
 /// ratios, degenerate replicates dropped. With an engine the replicates
-/// run as one batch across its worker pool; without one they run
-/// serially — the vectors are byte-identical either way.
+/// fan out across its workers in contiguous ranges; without one they
+/// run serially. Replicate `r` is a pure function of `(seed, r)` via
+/// [`resample_counts`]'s counter streams, so the vectors are
+/// byte-identical either way.
 pub fn bootstrap_ratios(
     seed: u64,
     target: &MeasuredPair,
@@ -438,24 +409,19 @@ pub fn bootstrap_ratios(
     replicates: u32,
     engine: Option<&Arc<QueryEngine>>,
 ) -> Vec<f64> {
-    let source = ReplicateSource {
-        seed,
-        target: [target.class_count, target.complement_count],
-        base: [base.class_count, base.complement_count],
-        channel: *channel,
+    let target = [target.class_count, target.complement_count];
+    let base = [base.class_count, base.complement_count];
+    let ratios = |range: Range<usize>| -> Vec<f64> {
+        range
+            .map(|r| replicate_ratio(seed, &target, &base, channel, r as u64))
+            .filter(|v| v.is_finite())
+            .collect()
     };
-    let specs: Vec<TargetingSpec> = (0..replicates)
-        .map(|r| TargetingSpec::and_of([AttributeId(r)]))
-        .collect();
-    let results = match engine {
-        Some(engine) => engine.run_on(Arc::new(source), specs),
-        None => source.estimate_batch(&specs),
-    };
-    results
-        .into_iter()
-        .map(|r| f64::from_bits(r.expect("replicate evaluation is infallible")))
-        .filter(|v| v.is_finite())
-        .collect()
+    let replicates = replicates as usize;
+    match engine {
+        Some(engine) => engine.map_ranges(replicates, REPLICATE_CHUNK, ratios),
+        None => ratios(0..replicates),
+    }
 }
 
 /// The full uncertainty-aware ratio of one observed pair against its
@@ -920,16 +886,26 @@ mod tests {
         let channel = ClassChannel::identity();
         let target = pair(6_000, 14_000);
         let base = pair(50_000, 50_000);
-        let serial = bootstrap_ratios(42, &target, &base, &channel, 64, None);
-        assert_eq!(serial.len(), 64, "no degenerate replicates at this size");
-        for workers in [2, 5] {
-            let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(workers)));
-            let pooled = bootstrap_ratios(42, &target, &base, &channel, 64, Some(&engine));
+        // 64 replicates fit one 512-replicate range; 1,100 span two full
+        // ranges and a partial third.
+        for replicates in [64, 1_100] {
+            let serial = bootstrap_ratios(42, &target, &base, &channel, replicates, None);
             assert_eq!(
-                serial, pooled,
-                "{workers}-worker pool must reproduce the serial samples byte-for-byte"
+                serial.len(),
+                replicates as usize,
+                "no degenerate replicates at this size"
             );
+            for workers in [2, 5] {
+                let engine = Arc::new(QueryEngine::new(EngineConfig::with_workers(workers)));
+                let pooled =
+                    bootstrap_ratios(42, &target, &base, &channel, replicates, Some(&engine));
+                assert_eq!(
+                    serial, pooled,
+                    "{workers}-worker pool must reproduce {replicates} serial samples byte-for-byte"
+                );
+            }
         }
+        let serial = bootstrap_ratios(42, &target, &base, &channel, 64, None);
         let point = point_ratio(&target, &base, &channel).unwrap();
         let interval = percentile_interval(&serial, 0.95, point);
         assert!(interval.contains(point));

@@ -11,7 +11,7 @@
 //!   four-fifths rule, and rounding-robustness interval analysis;
 //! * [`discovery`] — the greedy search for the most skewed k-way
 //!   targeting compositions, plus random-composition baselines;
-//! * [`engine`] — the parallel query engine: a bounded worker pool
+//! * [`engine`] — the parallel query engine: scoped worker threads
 //!   executing estimate batches in deterministic submission order, plus
 //!   opt-in estimate memoization;
 //! * [`union_estimate`] — audience overlap measurement and
@@ -86,8 +86,8 @@ pub use engine::{EngineConfig, MemoCache, MemoizedSource, QueryEngine};
 pub use epoch::{epoch_digest, run_epoch, EpochOutcome, EpochPlan};
 pub use experiments::uncertainty_exp::{
     bootstrap_ratios, confident_rep_ratio, scenario_family, uncertainty_cells, uncertainty_table,
-    uncertainty_table_with, uncertainty_tsv, ClassChannel, MeasuredPair, ReplicateSource, Scenario,
-    Stage, UncertaintyCell, UncertaintyConfig, UNCERTAINTY_INTERFACES,
+    uncertainty_table_with, uncertainty_tsv, ClassChannel, MeasuredPair, Scenario, Stage,
+    UncertaintyCell, UncertaintyConfig, UNCERTAINTY_INTERFACES,
 };
 pub use metrics::{
     four_fifths_band, measure_spec, measure_spec_batch, ratio_bounds, recall_of, rep_ratio,

@@ -118,7 +118,7 @@ pub const QUERIES_PER_SPEC: usize = 7;
 /// Batch form of [`measure_spec`]: measures every spec with the same
 /// seven queries per spec, submitted as one batch so an attached
 /// [`QueryEngine`](crate::engine::QueryEngine) can execute them across
-/// its worker pool.
+/// its workers.
 ///
 /// The query list — per spec: total, both genders, all four ages — is
 /// identical to what the serial loop issues, in the same order, so query

@@ -351,7 +351,7 @@ pub struct AuditTarget {
     /// Translation of targeting-interface attribute ids onto the
     /// measurement interface, when they differ.
     id_map: Option<Arc<Vec<AttributeId>>>,
-    /// Worker pool for batch execution; `None` keeps every path serial.
+    /// Engine for batch execution; `None` keeps every path serial.
     engine: Option<Arc<crate::engine::QueryEngine>>,
 }
 
@@ -444,7 +444,7 @@ impl AuditTarget {
     }
 
     /// The same target executing batch paths through a shared
-    /// [`QueryEngine`](crate::engine::QueryEngine) worker pool. Results
+    /// [`QueryEngine`](crate::engine::QueryEngine). Results
     /// stay bit-identical to the serial path (estimates are pure and
     /// assembled in submission order); only wall-clock changes.
     pub fn with_engine(&self, engine: Arc<crate::engine::QueryEngine>) -> AuditTarget {

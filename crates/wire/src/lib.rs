@@ -18,7 +18,8 @@
 //!   (a plain [`AdPlatform`](adcomp_platform::AdPlatform) or a
 //!   fault-injecting wrapper) on a TCP socket, with optional
 //!   token-bucket rate limiting and a connection-fault hook; tagged
-//!   requests are answered by a per-connection executor pool while
+//!   requests are answered by per-connection executor threads, started
+//!   on the first one and joined when the connection ends, while
 //!   admission control (fault hook, rate limiter) stays on the read
 //!   thread in receive order, so fault plans remain deterministic;
 //! * [`client`] — blocking client with timeouts, automatic reconnect,

@@ -489,76 +489,8 @@ fn conn_drops_total() -> Arc<Counter> {
     Registry::global().counter("adcomp_wire_conn_drops_total")
 }
 
-/// Per-connection executor pool answering pipelined ([`Request::Tagged`])
-/// requests off the read thread. Responses go through a shared writer
-/// lock, so they interleave with read-thread writes frame-atomically but
-/// may leave in any order — the correlation id is what the client keys on.
-struct PipelinePool {
-    jobs: Option<mpsc::Sender<(u64, Request, WorkToken)>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl PipelinePool {
-    fn start(
-        executors: usize,
-        service: Arc<dyn WireService>,
-        writer: Arc<Mutex<TcpStream>>,
-    ) -> Self {
-        let (tx, rx) = mpsc::channel::<(u64, Request, WorkToken)>();
-        // Executors share the one queue; each holds the lock only while
-        // it waits for its next job.
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..executors.max(1))
-            .map(|i| {
-                let rx = rx.clone();
-                let service = service.clone();
-                let writer = writer.clone();
-                std::thread::Builder::new()
-                    .name(format!("adcomp-wire-exec-{i}"))
-                    .spawn(move || loop {
-                        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        let Ok((id, request, token)) = next else {
-                            break;
-                        };
-                        let inner = service.handle(request);
-                        let frame = to_bytes(&Response::Tagged {
-                            id,
-                            inner: Box::new(inner),
-                        });
-                        // A failed write means the client is gone;
-                        // keep draining so shutdown stays clean.
-                        let _ = write_frame(
-                            &mut *writer.lock().unwrap_or_else(PoisonError::into_inner),
-                            &frame,
-                        );
-                        // The frame counts as in-flight until its
-                        // response hits the socket.
-                        drop(token);
-                    })
-                    .expect("spawn pipeline executor")
-            })
-            .collect();
-        PipelinePool {
-            jobs: Some(tx),
-            workers,
-        }
-    }
-
-    fn submit(&self, id: u64, request: Request, token: WorkToken) {
-        let _ = self
-            .jobs
-            .as_ref()
-            .expect("pool is running")
-            .send((id, request, token));
-    }
-
-    fn join(mut self) {
-        self.jobs.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
+/// One admitted pipelined request, queued for the executors.
+type TaggedJob = (u64, Request, WorkToken);
 
 #[allow(clippy::too_many_arguments)]
 fn handle_connection(
@@ -572,28 +504,75 @@ fn handle_connection(
     tracker: Arc<ConnTracker>,
 ) -> Result<(), FrameError> {
     stream.set_nodelay(true)?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let writer = Mutex::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    // Started on the first tagged request, so plain request/response
-    // connections never pay for extra threads.
-    let mut pipeline: Option<PipelinePool> = None;
-    let result = read_loop(
-        &mut reader,
-        &writer,
-        &service,
-        &limiter,
-        &fault_hook,
-        &request_counter,
-        &shutdown,
-        executors,
-        &mut pipeline,
-        &tracker,
-    );
-    if let Some(pool) = pipeline {
-        // Drain in-flight work before the connection thread exits.
-        pool.join();
+    let (jobs, queue) = mpsc::channel::<TaggedJob>();
+    let queue = Mutex::new(queue);
+    std::thread::scope(|scope| {
+        let (writer, queue, service_ref) = (&writer, &queue, service.as_ref());
+        // Executors start on the first tagged request, so plain
+        // request/response connections never pay for extra threads.
+        let mut started = false;
+        let dispatch = move |job: TaggedJob| {
+            if !std::mem::replace(&mut started, true) {
+                for i in 0..executors {
+                    std::thread::Builder::new()
+                        .name(format!("adcomp-wire-exec-{i}"))
+                        .spawn_scoped(scope, move || execute_tagged(queue, service_ref, writer))
+                        .expect("spawn pipeline executor");
+                }
+            }
+            let _ = jobs.send(job);
+        };
+        // `read_loop` drops `dispatch`, and with it the queue's only
+        // sender, when it returns; the executors then drain what is
+        // queued and the scope's end joins them before the connection
+        // thread exits.
+        read_loop(
+            &mut reader,
+            writer,
+            &service,
+            &limiter,
+            &fault_hook,
+            &request_counter,
+            &shutdown,
+            dispatch,
+            &tracker,
+        )
+    })
+}
+
+/// An executor answering pipelined ([`Request::Tagged`]) requests off
+/// the read thread until the queue closes. Responses go through the
+/// shared writer lock, so they interleave with read-thread writes
+/// frame-atomically but may leave in any order — the correlation id is
+/// what the client keys on.
+fn execute_tagged(
+    queue: &Mutex<mpsc::Receiver<TaggedJob>>,
+    service: &dyn WireService,
+    writer: &Mutex<TcpStream>,
+) {
+    loop {
+        // Executors share the one queue; each holds the lock only while
+        // it waits for its next job.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((id, request, token)) = next else {
+            return;
+        };
+        let frame = to_bytes(&Response::Tagged {
+            id,
+            inner: Box::new(service.handle(request)),
+        });
+        // A failed write means the client is gone; keep draining so
+        // shutdown stays clean.
+        let _ = write_frame(
+            &mut *writer.lock().unwrap_or_else(PoisonError::into_inner),
+            &frame,
+        );
+        // The frame counts as in-flight until its response hits the
+        // socket.
+        drop(token);
     }
-    result
 }
 
 /// Checks the shared limiter for one request, in receive order on the
@@ -622,14 +601,13 @@ fn rate_limit_check(
 #[allow(clippy::too_many_arguments)]
 fn read_loop(
     reader: &mut BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Mutex<TcpStream>,
     service: &Arc<dyn WireService>,
     limiter: &Option<SharedLimiter>,
     fault_hook: &Option<Arc<dyn ConnectionFaultHook>>,
     request_counter: &Arc<AtomicU64>,
     shutdown: &Arc<AtomicBool>,
-    executors: usize,
-    pipeline: &mut Option<PipelinePool>,
+    mut dispatch: impl FnMut(TaggedJob),
     tracker: &Arc<ConnTracker>,
 ) -> Result<(), FrameError> {
     loop {
@@ -690,11 +668,7 @@ fn read_loop(
                         inner: Box::new(error),
                     },
                     None => {
-                        pipeline
-                            .get_or_insert_with(|| {
-                                PipelinePool::start(executors, service.clone(), writer.clone())
-                            })
-                            .submit(id, *inner, token);
+                        dispatch((id, *inner, token));
                         continue;
                     }
                 }
